@@ -8,7 +8,6 @@ a two-component continuum formulation in which the momentum admits
 self-adjoint extensions.
 """
 
-from ._kernels import BACKEND, NUMBA_ENABLED
 from .continuum import (
     EnergyEigenstate,
     GeneralBCParams,
@@ -18,7 +17,6 @@ from .continuum import (
     TwoComponentWavefunction,
     apply_p_r,
     build_doubled_hamiltonian_lattice,
-    default_penalty,
     energy_eigenstate,
     momentum_bc_residual,
     momentum_eigenstate,
@@ -33,6 +31,7 @@ from .continuum import (
 )
 from .convergence import ConvergenceReport, converge_energy, converge_momentum
 from .eigensolver import (
+    BACKEND,
     ConvergenceError,
     SpectrumResult,
     eigh_tridiagonal,

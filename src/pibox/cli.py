@@ -18,10 +18,9 @@ import sys
 
 import numpy as np
 
-from . import _kernels
 from .continuum import energy_eigenstate
 from .convergence import converge_energy, converge_momentum
-from .eigensolver import ConvergenceError, eigh_tridiagonal
+from .eigensolver import BACKEND, ConvergenceError, eigh_tridiagonal
 from .lattice import (
     LatticeGrid,
     MomentumExtension,
@@ -148,7 +147,7 @@ def _echo_common(args, cfg) -> dict:
         "mass": cfg.mass,
         "box_length": cfg.box_length,
         "seed": int(args.seed),
-        "backend": _kernels.BACKEND,
+        "backend": BACKEND,
         "format": args.format,
     }
 

@@ -592,12 +592,6 @@ def build_doubled_hamiltonian_lattice(
     return np.block([[upper, cross], [cross, upper]])
 
 
-def default_penalty(cfg: PhysicalConfig) -> float:
-    """Penalty large enough to push the antisymmetric sector far above
-    the low spectrum: 1e6 times the hard-wall ground energy scale."""
-    return 1e6 * math.pi**2 / (2.0 * cfg.mass * cfg.box_length**2)
-
-
 # ---------------------------------------------------------------------------
 # general self-adjoint boundary family
 # ---------------------------------------------------------------------------

@@ -1,11 +1,20 @@
 """Certified eigensolver for Hermitian complex tridiagonal matrices.
 
 A diagonal unitary similarity strips the phases of the off-diagonal
-entries, leaving a real symmetric tridiagonal matrix whose eigenvalues
-are found by Sturm-count bisection (provable bracketing: the count of
-eigenvalues below any shift equals the sign-change count).  Eigenvectors
-come from inverse iteration on the reduced matrix and are transformed
-back with the stored phases.
+entries, leaving a real symmetric tridiagonal matrix, which LAPACK solves
+through scipy.  The whole spectrum without vectors comes from ``?stemr``
+(MRRR: Dhillon & Parlett, Linear Algebra Appl. 387 (2004) 1-28; its dqds
+stage).  An index window of eigenvalues, and every request for vectors,
+comes from ``?stebz`` bisection and ``?stein`` inverse iteration: O(n) per
+eigenvalue, and closer at the bottom of the spectrum (ground state of a
+729-site box: 7e-12 off against 4e-10 from dqds).  Eigenvectors are
+transformed back with the stored phases and every returned pair is
+checked against ``RESIDUAL_BOUND`` on the original complex matrix.
+
+``?stemr`` takes no windows and no vectors here: on split or strongly
+graded matrices its window mode can return a wrong eigenvalue when the
+window edge falls inside a multiple eigenvalue, and its vector stage can
+stop with an internal error.
 """
 
 from __future__ import annotations
@@ -14,23 +23,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .lattice import ComplexTridiagonal, hermiticity_defect
 
 __all__ = ["SpectrumResult", "ConvergenceError", "phase_reduce", "sturm_count", "eigh_tridiagonal"]
 
+#: LAPACK drivers (scipy names) for the whole spectrum and for windows
+#: or vectors, recorded as meta["backend"]
+BACKEND = "stemr"
+WINDOW_BACKEND = "stebz"
+
 #: accepted residual ||A v - lam v||_2 / ||A||_max for returned eigenpairs
 RESIDUAL_BOUND = 1e-10
 
-#: eigenvalue gaps below this times the matrix scale are treated as one cluster
-CLUSTER_GAP = 1e-12
-
-_MAX_RESTARTS = 5
 _HERMITICITY_TOL = 1e-13
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when inverse iteration exhausts its restart budget."""
+    """Raised when LAPACK reports a failure or a returned eigenpair
+    misses the residual bound."""
 
 
 @dataclass
@@ -64,21 +76,22 @@ def phase_reduce(A: ComplexTridiagonal):
 
 
 def sturm_count(A: ComplexTridiagonal, sigma: float) -> int:
-    """Number of eigenvalues of A strictly below the shift sigma."""
+    """Number of eigenvalues of A strictly below the shift sigma: the
+    count of negative pivots of the LDL^T factorization of the reduced
+    matrix minus sigma.  Independent of LAPACK, so it can check it."""
     d, e, _ = phase_reduce(A)
-    e2 = e * e
-    return int(_kernels.sturm_count(d, e2, float(sigma), _kernels.pivot_floor(e2)))
-
-
-def _clusters(values: np.ndarray, gap: float):
-    """Group indices of ascending values separated by less than gap."""
-    groups = [[0]]
-    for i in range(1, values.size):
-        if values[i] - values[i - 1] < gap:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
+    # smallest admissible pivot keeps the recurrence free of division
+    # blowups; a pivot replaced by -pivmin counts as negative (as in ?stebz)
+    e2 = (e * e).tolist()
+    pivmin = max(max(e2, default=0.0), 1.0) * _TINY / _EPS
+    sigma = float(sigma)
+    count, q = 0, 1.0
+    for di, e2i in zip(d.tolist(), [0.0] + e2):
+        q = di - sigma - e2i / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        count += q < 0.0
+    return count
 
 
 def eigh_tridiagonal(
@@ -99,14 +112,13 @@ def eigh_tridiagonal(
         eigenvector columns v satisfy weight * ||v||_2^2 = 1.
     select : optional (lo, hi) inclusive range of ascending eigenvalue
         indices; default all.
-    seed : seed of the inverse-iteration start vectors, recorded in meta.
+    seed : recorded in meta; the result does not depend on it.
     """
+    # deferred: importing scipy.linalg would add ~10 % to `import pibox`
+    import scipy.linalg
+
     d, e, phases = phase_reduce(A)
     n = d.size
-    e2 = e * e
-    pivmin = _kernels.pivot_floor(e2)
-    scale = max(A.max_abs(), _kernels._TINY)
-
     if select is None:
         idx_lo, idx_hi = 0, n - 1
     else:
@@ -114,68 +126,31 @@ def eigh_tridiagonal(
         if not (0 <= idx_lo <= idx_hi <= n - 1):
             raise ValueError(f"select range {select} invalid for size {n}")
 
-    lo, hi = _kernels.gershgorin_interval(d, e)
-    eigenvalues = np.asarray(_kernels.bisect_spectrum(d, e2, idx_lo, idx_hi, lo, hi, pivmin))
-
-    meta = {"backend": _kernels.BACKEND, "seed": seed, "select": (idx_lo, idx_hi)}
+    if want_vectors or (idx_lo, idx_hi) != (0, n - 1):
+        driver, window = WINDOW_BACKEND, {"select": "i", "select_range": (idx_lo, idx_hi)}
+    else:
+        # no index range: with one, even the whole one, ?stemr bisects
+        # instead of running dqds (7x slower at N = 999)
+        driver, window = BACKEND, {}
+    meta = {"backend": driver, "seed": seed, "select": (idx_lo, idx_hi)}
+    try:
+        out = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=not want_vectors, lapack_driver=driver, **window)
+    except scipy.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK {driver} failed: {exc}") from exc
     if not want_vectors:
-        return SpectrumResult(eigenvalues, meta=meta)
+        return SpectrumResult(out, meta=meta)
 
-    rng = np.random.default_rng(seed)
-    m = eigenvalues.size
-    vectors = np.empty((n, m), dtype=np.float64)
-    resid_tol = 0.1 * RESIDUAL_BOUND * scale
+    eigenvalues, vectors = out
+    vectors = phases[:, None] * vectors
+    vectors /= np.sqrt(weight)
 
-    for group in _clusters(eigenvalues, CLUSTER_GAP * scale):
-        found: list[np.ndarray] = []
-        for pos in group:
-            lam = float(eigenvalues[pos])
-            best_v, best_r = None, np.inf
-            for _ in range(_MAX_RESTARTS):
-                b = rng.standard_normal(n)
-                for u in found:
-                    b -= (u @ b) * u
-                nb = np.linalg.norm(b)
-                if nb == 0.0:
-                    continue
-                v, r = _kernels.inverse_iteration(d, e, lam, b / nb, pivmin, 8, resid_tol)
-                if not np.all(np.isfinite(v)):
-                    continue
-                if found:
-                    # modified Gram-Schmidt within the degenerate cluster
-                    for u in found:
-                        v = v - (u @ v) * u
-                    nv = np.linalg.norm(v)
-                    if nv < 1e-3:
-                        continue  # collapsed onto the span already found
-                    v = v / nv
-                    r = _residual_real(d, e, lam, v)
-                if r < best_r:
-                    best_v, best_r = v, r
-                if best_r <= resid_tol:
-                    break
-            if best_v is None or best_r > RESIDUAL_BOUND * scale:
-                raise ConvergenceError(
-                    f"inverse iteration failed for eigenvalue index {idx_lo + pos} "
-                    f"(residual {best_r:.3e}, bound {RESIDUAL_BOUND * scale:.3e})"
-                )
-            found.append(best_v)
-            vectors[:, pos] = best_v
-
-    complex_vectors = phases[:, None] * vectors
-    complex_vectors /= np.sqrt(weight)
-
-    residuals = np.empty(m)
-    for j in range(m):
-        v = complex_vectors[:, j]
-        r = A.matvec(v) - eigenvalues[j] * v
-        residuals[j] = np.linalg.norm(r) / (scale * np.linalg.norm(v))
-
-    return SpectrumResult(eigenvalues, complex_vectors, residuals, meta)
-
-
-def _residual_real(d, e, lam, v):
-    r = (d - lam) * v
-    r[:-1] += e * v[1:]
-    r[1:] += e * v[:-1]
-    return float(np.linalg.norm(r))
+    scale = max(A.max_abs(), _TINY)
+    r = A.matvec(vectors) - vectors * eigenvalues
+    residuals = np.linalg.norm(r, axis=0) / (scale * np.linalg.norm(vectors, axis=0))
+    worst = int(np.argmax(residuals))
+    if not residuals[worst] <= RESIDUAL_BOUND:  # NaN fails too
+        raise ConvergenceError(
+            f"eigenpair {idx_lo + worst} misses the residual bound "
+            f"(residual {residuals[worst]:.3e}, bound {RESIDUAL_BOUND:.3e})"
+        )
+    return SpectrumResult(eigenvalues, vectors, residuals, meta)

@@ -195,10 +195,12 @@ class ComplexTridiagonal:
         return out
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
+        """A v for a vector of length n or an (n, m) block of columns."""
         v = np.asarray(v)
-        out = self.diagonal * v
-        out[:-1] += self.superdiagonal * v[1:]
-        out[1:] += self.subdiagonal * v[:-1]
+        shape = (-1,) + (1,) * (v.ndim - 1)
+        out = self.diagonal.reshape(shape) * v
+        out[:-1] += self.superdiagonal.reshape(shape) * v[1:]
+        out[1:] += self.subdiagonal.reshape(shape) * v[:-1]
         return out
 
     def max_abs(self) -> float:

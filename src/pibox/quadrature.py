@@ -28,8 +28,3 @@ def quadrature_nodes(a: float, b: float, wavenumber: float = 0.0, min_nodes: int
     x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
     w = (half[:, None] * wg[None, :]).ravel()
     return x, w
-
-
-def integrate(f, a: float, b: float, wavenumber: float = 0.0, min_nodes: int = 128):
-    x, w = quadrature_nodes(a, b, wavenumber, min_nodes)
-    return w @ f(x)

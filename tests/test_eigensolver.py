@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pibox
 from pibox import (
     ComplexTridiagonal,
     LatticeGrid,
@@ -13,6 +20,7 @@ from pibox import (
     phase_reduce,
     sturm_count,
 )
+from pibox.eigensolver import RESIDUAL_BOUND
 
 
 def parity_conjugate(a: ComplexTridiagonal) -> ComplexTridiagonal:
@@ -139,3 +147,90 @@ def test_large_problem_bound_state_window(cfg):
     h = build_hamiltonian(LatticeGrid(2001, 1.0), cfg, RobinParams(-5.0, -5.0))
     low = eigh_tridiagonal(h, select=(0, 1)).eigenvalues
     assert low[0] < low[1] < 0
+
+
+def test_sturm_count_at_an_exact_zero_pivot():
+    # zero diagonal, unit couplings: sigma = 0 makes every other pivot vanish
+    chain = ComplexTridiagonal(np.zeros(46), np.ones(45), np.ones(45))
+    assert sturm_count(chain, 0.0) == 23
+
+
+def test_window_edge_inside_a_multiple_eigenvalue():
+    # split matrix: -1e4 is an eigenvalue of several blocks and the window starts inside it
+    d = np.array([-1e4, 100, 100, 100, -1e4, -1e4, 100, 100, 100, -1e4, -1e4, -1e4,
+                  -1e4, 100, 100, -1e4, 100, -1e4, 100, -1e4, 100, -1e4, 100, -1e4])
+    e = np.zeros(23)
+    e[[3, 5, 12, 14, 19, 22]] = [1e-3, 1e-2, 1e-1, 1e-3, 1e3, 1.0]
+    a = ComplexTridiagonal(d, e, e)
+    window = eigh_tridiagonal(a, select=(8, 19)).eigenvalues
+    assert np.max(np.abs(window - np.linalg.eigvalsh(a.to_dense())[8:20])) <= 1e-12 * a.max_abs()
+
+
+def test_vectors_of_a_graded_matrix_with_tight_clusters():
+    # nearly decoupled unit chains of similar length give pairs of close eigenvalues
+    e = np.ones(45)
+    e[[1, 23, 24]] = [1e4, 10.0, 0.1]
+    a = ComplexTridiagonal(np.zeros(46), e, e)
+    res = eigh_tridiagonal(a, want_vectors=True, select=(0, 22))
+    assert res.residuals.max() <= RESIDUAL_BOUND
+    gram = res.eigenvectors.conj().T @ res.eigenvectors
+    assert np.max(np.abs(gram - np.eye(23))) <= 1e-10
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg is imported on the first eigensolve, not by `import pibox`
+    code = "import sys, pibox, pibox.cli; print('scipy.linalg' in sys.modules)"
+    src = str(Path(pibox.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+_magnitudes = st.floats(-3.0, 4.0).map(lambda x: 10.0**x)
+_entries = st.one_of(st.just(0.0), st.builds(lambda s, m: s * m, st.sampled_from([-1.0, 1.0]), _magnitudes))
+
+
+@st.composite
+def hermitian_tridiagonals(draw):
+    """Complex Hermitian tridiagonals with random off-diagonal phases,
+    entries spanning 1e-3..1e4, optional zero off-diagonals (split
+    matrices) and optionally exactly degenerate diagonals."""
+    n = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        pool = draw(st.lists(_entries, min_size=1, max_size=3))
+        diagonal = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    else:
+        diagonal = draw(st.lists(_entries, min_size=n, max_size=n))
+    moduli = np.array(draw(st.lists(_magnitudes, min_size=n - 1, max_size=n - 1)))
+    if n > 1 and draw(st.booleans()):
+        moduli[sorted(draw(st.sets(st.integers(0, n - 2), min_size=1)))] = 0.0
+    angles = np.array(draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=n - 1, max_size=n - 1)))
+    upper = moduli * np.exp(1j * angles)
+    return ComplexTridiagonal(np.array(diagonal), upper, upper.conj())
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=hermitian_tridiagonals(), data=st.data())
+def test_random_hermitian_tridiagonals(a, data):
+    n = a.n
+    lo = data.draw(st.integers(0, n - 1), label="lo")
+    hi = data.draw(st.integers(lo, n - 1), label="hi")
+    weight = data.draw(st.floats(-4.0, 1.0).map(lambda x: 10.0**x), label="weight")
+    scale = a.max_abs()
+    oracle = np.linalg.eigvalsh(a.to_dense())
+
+    res = eigh_tridiagonal(a, want_vectors=True, weight=weight, select=(lo, hi))
+    assert np.max(np.abs(res.eigenvalues - oracle[lo : hi + 1])) <= 1e-12 * scale
+    assert res.residuals.max() <= RESIDUAL_BOUND
+    gram = weight * res.eigenvectors.conj().T @ res.eigenvectors
+    assert np.max(np.abs(gram - np.eye(hi - lo + 1))) <= 1e-10
+
+    window = eigh_tridiagonal(a, select=(lo, hi)).eigenvalues
+    assert np.max(np.abs(window - oracle[lo : hi + 1])) <= 1e-12 * scale
+    full = eigh_tridiagonal(a).eigenvalues
+    assert np.max(np.abs(full - oracle)) <= 1e-12 * scale
+    # Sturm counts in every resolvable gap and beyond both ends of the spectrum
+    gaps = np.flatnonzero(np.diff(full) > 1e-12 * scale)
+    sigmas = np.concatenate(([full[0] - 1.0 - scale], 0.5 * (full[gaps] + full[gaps + 1]), [full[-1] + 1.0 + scale]))
+    for sigma in sigmas:
+        assert sturm_count(a, sigma) == int(np.sum(full < sigma))
