@@ -20,7 +20,7 @@ import numpy as np
 
 from .continuum import energy_eigenstate
 from .convergence import converge_energy, converge_momentum
-from .eigensolver import BACKEND, ConvergenceError, eigh_tridiagonal
+from .eigensolver import ConvergenceError, eigh_tridiagonal
 from .lattice import (
     LatticeGrid,
     MomentumExtension,
@@ -142,12 +142,13 @@ def _grid(args, cfg) -> LatticeGrid:
 
 
 def _echo_common(args, cfg) -> dict:
+    # "backend" names the eigensolver driver of the calls a command makes
     return {
         "command": args.verb,
         "mass": cfg.mass,
         "box_length": cfg.box_length,
         "seed": int(args.seed),
-        "backend": BACKEND,
+        "backend": "none",
         "format": args.format,
     }
 
@@ -205,6 +206,7 @@ def cmd_spectrum(args, stream) -> int:
         h = build_hamiltonian(grid, cfg, robin, boundary=args.boundary)
         sel_hi = min(levels, grid.num_sites) - 1
         res = eigh_tridiagonal(h, select=(0, sel_hi))
+        meta["backend"] = res.meta["backend"]
         first = 1 if robin.is_dirichlet else 0
         return [
             [i + first, _dispersion_wavenumber(lam, grid, cfg), lam, None, "lattice_eig"]
@@ -264,7 +266,8 @@ def cmd_momentum(args, stream) -> int:
             for i in range(roots.real_roots.size)
         ]
         if args.compare or args.method == "lattice-eig":
-            eig = eigh_tridiagonal(build_p_r(grid, ext)).eigenvalues
+            res = eigh_tridiagonal(build_p_r(grid, ext))
+            eig, meta["backend"] = res.eigenvalues, res.meta["backend"]
             columns = columns + ["eig", "agreement"]
             order = np.argsort(roots.k_hat)
             eig_by_root = np.empty_like(eig)
@@ -314,7 +317,8 @@ def cmd_measure(args, stream) -> int:
         raise ConfigError(f"unknown method {args.method!r}")
 
     try:
-        state = energy_eigenstate(cfg, robin, level)
+        if args.method != "quadrature":  # quadrature built the state above
+            state = energy_eigenstate(cfg, robin, level)
         grid = LatticeGrid(int(args.expectation_N), cfg.box_length)
         exp_r, exp_i = p_expectations(state, grid, ext)
     except ValueError:

@@ -82,8 +82,8 @@ def converge_energy(
     for i, n_sites in enumerate(N_list):
         grid = LatticeGrid(n_sites, cfg.box_length)
         h = build_hamiltonian(grid, cfg, robin, boundary=boundary)
-        lam = eigh_tridiagonal(h, select=(position, position)).eigenvalues[0]
-        errors[i] = abs(lam - target)
+        res = eigh_tridiagonal(h, select=(position, position))
+        errors[i] = abs(res.eigenvalues[0] - target)
         spacings.append(grid.spacing)
 
     order, resid = _fit(spacings, errors)
@@ -94,7 +94,8 @@ def converge_energy(
         fitted_order=order,
         fit_residual=resid,
         meta={"target": target, "boundary": boundary,
-              "gamma_plus": robin.gamma_plus, "gamma_minus": robin.gamma_minus},
+              "gamma_plus": robin.gamma_plus, "gamma_minus": robin.gamma_minus,
+              "backend": res.meta["backend"]},  # the same driver for every size
     )
 
 

@@ -44,6 +44,7 @@ RESIDUAL_BOUND = 1e-10
 
 _BISECT_XTOL = 1e-13
 _DEDUP_TOL = 1e-12
+_BOUND_SCAN_POINTS = 65  # whatever the couplings
 
 
 class RootScanError(RuntimeError):
@@ -73,49 +74,56 @@ class RootSet:
 
 
 def _bisect(f, a, b, fa, fb, xtol=_BISECT_XTOL):
-    """Plain bisection on a bracketed sign change, to |b - a| <= xtol."""
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0:
-        raise RootScanError(f"lost bracket on [{a}, {b}]")
-    while b - a > xtol:
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:
-            break
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+    """Bisection of all brackets [a_i, b_i] at once to |b - a| <= xtol, one
+    call f(m, sel) per sweep on the midpoints of the open brackets sel.
+    Per bracket it is scalar bisection step for step: an exact zero at an
+    endpoint or midpoint is the root (else the root drifts off), and a
+    midpoint that no longer splits the bracket stops it."""
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    if np.any(fa * fb > 0):
+        i = int(np.argmax(fa * fb > 0))
+        raise RootScanError(f"lost bracket on [{a[i]}, {b[i]}]")
+    root = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.nan))
+    sel = np.nonzero((fa != 0.0) & (fb != 0.0))[0]
+    while True:
+        m = 0.5 * (a[sel] + b[sel])
+        go = (b[sel] - a[sel] > xtol) & (m > a[sel]) & (m < b[sel])
+        sel, m = sel[go], m[go]
+        if not sel.size:
+            return np.where(np.isnan(root), 0.5 * (a + b), root)
+        fm = f(m, sel)
+        zero = fm == 0.0
+        root[sel[zero]] = m[zero]
+        sel, m, fm = sel[~zero], m[~zero], fm[~zero]
+        left = fa[sel] * fm < 0  # the sign change is in [a, m]
+        b[sel[left]], fb[sel[left]] = m[left], fm[left]
+        a[sel[~left]], fa[sel[~left]] = m[~left], fm[~left]
 
 
-def _phase_roots(phase, k_grid):
-    """All (k, n) with phase(k) = 2*pi*n bracketed on the scan grid.
-
-    One pass over adjacent grid pairs; each pair is bisected once per
-    integer level it straddles, so the cost is O(grid + roots) rather
-    than O(levels * grid)."""
+def _phase_roots(phase, k_grid, slope0=None):
+    """All (k, n) with phase(k) = 2*pi*n bracketed on the scan grid: one
+    bracket per adjacent grid pair and integer level it straddles, all
+    bisected together.  On grids starting at the trivial root k = 0,
+    ``slope0`` (with the sign of phase(0+) - phase(0)) stands in for the
+    exact zero there, so a second crossing of that level in the first
+    cell is found instead of collapsing onto k = 0."""
     values = phase(k_grid)
     two_pi = 2.0 * math.pi
     lo_lvl = np.ceil(np.minimum(values[:-1], values[1:]) / two_pi - 1e-12)
     hi_lvl = np.floor(np.maximum(values[:-1], values[1:]) / two_pi + 1e-12)
-    roots, labels = [], []
-    for i in np.nonzero(hi_lvl >= lo_lvl)[0]:
-        for n in range(int(lo_lvl[i]), int(hi_lvl[i]) + 1):
-            target = two_pi * n
-            ga, gb = values[i] - target, values[i + 1] - target
-            if ga * gb > 0:
-                continue
-            k = _bisect(lambda x: phase(np.asarray([x]))[0] - target,
-                        k_grid[i], k_grid[i + 1], ga, gb)
-            roots.append(k)
-            labels.append(n)
-    return roots, labels
+    counts = np.maximum(hi_lvl - lo_lvl + 1.0, 0.0).astype(int)
+    cell = np.repeat(np.arange(counts.size), counts)
+    # level n runs over lo_lvl..hi_lvl within each cell, cells in grid order
+    levels = lo_lvl[cell] + (np.arange(cell.size) - np.repeat(np.cumsum(counts) - counts, counts))
+    target = two_pi * levels
+    ga, gb = values[cell] - target, values[cell + 1] - target
+    if slope0 is not None:
+        ga[(cell == 0) & (ga == 0.0)] = slope0
+    keep = ga * gb <= 0
+    cell, levels, target = cell[keep], levels[keep], target[keep]
+    roots = _bisect(lambda m, sel: phase(m) - target[sel],
+                    k_grid[cell], k_grid[cell + 1], ga[keep], gb[keep])
+    return roots, levels.astype(int)
 
 
 def _check_residuals(residuals, kind):
@@ -128,26 +136,14 @@ def _check_residuals(residuals, kind):
 
 def _dedupe(roots, labels, tol):
     order = np.argsort(roots)
-    out_r, out_l = [], []
-    for i in order:
-        if out_r and abs(roots[i] - out_r[-1]) <= tol:
-            continue
-        out_r.append(roots[i])
-        out_l.append(labels[i])
-    return np.asarray(out_r), np.asarray(out_l, dtype=int)
+    roots, labels = np.asarray(roots)[order], np.asarray(labels, dtype=int)[order]
+    keep = np.diff(roots, prepend=-np.inf) > tol
+    return roots[keep], labels[keep]
 
 
 # ---------------------------------------------------------------------------
 # energy, continuum
 # ---------------------------------------------------------------------------
-
-def _robin_phase(k, gamma):
-    """Continuous branch of arg((gamma + i k)) for k >= 0; zero in the
-    hard-wall limit."""
-    if math.isinf(gamma):
-        return np.zeros_like(k)
-    return np.arctan2(k, gamma)
-
 
 def _energy_continuum_rhs(k: complex, robin: RobinParams) -> complex:
     num, den = 1.0 + 0.0j, 1.0 + 0.0j
@@ -164,14 +160,25 @@ def energy_continuum_residual(cfg: PhysicalConfig, robin: RobinParams, k: comple
     return abs(cmath.exp(2j * k * L) - _energy_continuum_rhs(k, robin))
 
 
-def _zero_mode_exists(robin: RobinParams, L: float) -> bool:
-    # a constant-plus-linear state at E = 0 exists iff the boundary system
-    # is degenerate: gamma+ + gamma- + gamma+ gamma- L = 0
-    if robin.dirichlet_plus or robin.dirichlet_minus:
-        return False
-    gp, gm = robin.gamma_plus, robin.gamma_minus
-    scale = max(1.0, abs(gp), abs(gm), abs(gp * gm * L))
-    return abs(gp + gm + gp * gm * L) <= 1e-14 * scale
+def _degeneracy(robin: RobinParams, length: float) -> float:
+    """D = g+ g- length + g+ + g- for walls ``length`` apart (g length + 1
+    beside a hard wall, length between two), or 0 within rounding: a zero
+    mode (linear state at E = 0).  Just right of k = 0 the bound-state
+    condition moves with sign -D, and the energy phase with sign D / (g+ g-)
+    over the finite couplings, or jumps up by pi at a Neumann wall."""
+    finite = [g for g in (robin.gamma_plus, robin.gamma_minus) if not math.isinf(g)]
+    if len(finite) == 2:
+        terms = (finite[0] * finite[1] * length, *finite)
+    else:
+        terms = (finite[0] * length, 1.0) if finite else (length,)
+    d = sum(terms)
+    return 0.0 if abs(d) <= 1e-14 * max(1.0, *map(abs, terms)) else d
+
+
+def _phase_slope0(robin: RobinParams, length: float) -> float:
+    d = _degeneracy(robin, length)
+    walls = math.prod(g for g in (robin.gamma_plus, robin.gamma_minus) if not math.isinf(g))
+    return d / walls if walls else float(d != 0.0)
 
 
 def solve_energy_continuum(cfg: PhysicalConfig, robin: RobinParams, k_max: float | None = None) -> RootSet:
@@ -188,22 +195,23 @@ def solve_energy_continuum(cfg: PhysicalConfig, robin: RobinParams, k_max: float
         raise ValueError("k_max must be positive")
 
     def phase(k):
-        return 2.0 * k * L + 2.0 * _robin_phase(k, robin.gamma_plus) + 2.0 * _robin_phase(k, robin.gamma_minus)
+        # arctan2(k, inf) = 0: a hard wall adds no phase
+        return 2.0 * k * L + 2.0 * np.arctan2(k, robin.gamma_plus) + 2.0 * np.arctan2(k, robin.gamma_minus)
 
     resolution = math.pi / (20.0 * L)
     n_scan = int(math.ceil(k_max / resolution)) + 1
     k_grid = np.linspace(0.0, k_max, n_scan)
-    roots, _ = _phase_roots(phase, k_grid)
+    roots, _ = _phase_roots(phase, k_grid, _phase_slope0(robin, L))
     roots = [k for k in roots if k > 1e-9 * math.pi / L]
     roots, _ = _dedupe(roots, list(range(len(roots))), _DEDUP_TOL)
-    if roots.size == 0 and not _zero_mode_exists(robin, L):
+    if roots.size == 0 and _degeneracy(robin, L) != 0.0:
         raise RootScanError(
             f"no energy roots in (0, {k_max}] at scan resolution {resolution:.3e}"
         )
 
     bound = _bound_roots(cfg, robin)
 
-    zero = [0.0] if _zero_mode_exists(robin, L) else []
+    zero = [0.0] if _degeneracy(robin, L) == 0.0 else []
     real_roots = np.concatenate([zero, roots])
     energies = real_roots**2 / (2.0 * cfg.mass)
     # the zero mode is appended from its own degeneracy condition, so its
@@ -228,30 +236,49 @@ def solve_energy_continuum(cfg: PhysicalConfig, robin: RobinParams, k_max: float
 
 
 def _bound_roots(cfg: PhysicalConfig, robin: RobinParams) -> np.ndarray:
-    """kappa > 0 with exp(-2 kappa L) (g+ - kappa)(g- - kappa) =
-    (g+ + kappa)(g- + kappa); pole-free polynomial-style form."""
-    if robin.dirichlet_plus or robin.dirichlet_minus:
-        return np.asarray([])
-    gp, gm = robin.gamma_plus, robin.gamma_minus
-    if min(gp, gm) >= 0.0:
-        return np.asarray([])
+    """kappa > 0 with f(kappa) = exp(-2 kappa L) prod(g - kappa) -
+    prod(g + kappa) = 0 over the finite couplings g (the energy condition
+    at k = i*kappa), descending (ascending energy).
+
+    Beyond kappa_max = max(2 max|g < 0|, ln 9 / 2L) each |g - kappa| /
+    (g + kappa) is at most 3 and exp(-2 kappa L) < 1/9, so f < 0; f(0+)
+    has the sign of -D (see ``_degeneracy``).  So the root count is odd
+    iff D < 0, at most one per attractive wall, and a fixed grid over
+    (0, kappa_max] plus the points |g| (where f > 0 if both walls attract)
+    brackets every root, whatever |g|."""
     L = cfg.box_length
+    finite = [g for g in (robin.gamma_plus, robin.gamma_minus) if not math.isinf(g)]
+    attractive = [-g for g in finite if g < 0.0]
+    if not attractive:
+        return np.asarray([])
+    d = _degeneracy(robin, L)
+    # a zero mode (D = 0) takes the place of one bound state
+    expected = 1 if d < 0.0 else len(attractive) // 2 * 2 if d > 0.0 else len(attractive) - 1
 
     def condition(kappa):
-        return np.exp(-2.0 * kappa * L) * (gp - kappa) * (gm - kappa) - (gp + kappa) * (gm + kappa)
+        left, right = np.exp(-2.0 * kappa * L), 1.0
+        for g in finite:
+            left, right = left * (g - kappa), right * (g + kappa)
+        return left - right
 
-    kappa_max = 10.0 * max(abs(gp), abs(gm))
-    grid = np.arange(1e-3, kappa_max + 1e-3, 1e-3)
+    kappa_max = max(2.0 * max(attractive), math.log(9.0) / (2.0 * L))
+    grid = np.unique(np.concatenate([np.linspace(0.0, kappa_max, _BOUND_SCAN_POINTS), attractive]))
     vals = condition(grid)
-    roots = []
-    for i in np.nonzero(vals[:-1] * vals[1:] <= 0)[0]:
-        if vals[i] == 0.0 and i > 0:
-            continue
-        roots.append(_bisect(lambda x: float(condition(np.asarray([x]))[0]),
-                              grid[i], grid[i + 1], vals[i], vals[i + 1]))
-    roots = sorted(r for r in roots if r > 1e-9)
-    # descending kappa = ascending energy
-    return np.asarray(roots[::-1])
+    vals[0] = -d  # f(0) = 0; just right of it f has the sign of -D
+    zeros = grid[1:][vals[1:] == 0.0]
+    # a zero that f touches without crossing is two roots closer than the
+    # float spacing (equal couplings with exp(-2 kappa L) underflowing)
+    touch = condition(np.nextafter(zeros, 0.0)) * condition(np.nextafter(zeros, np.inf)) > 0.0
+    cell = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
+    crossed = _bisect(lambda m, sel: condition(m), grid[cell], grid[cell + 1],
+                      vals[cell], vals[cell + 1])
+    roots = np.concatenate([zeros, zeros[touch], crossed])
+    if roots.size != expected:
+        raise RootScanError(
+            f"bound-state scan found {roots.size} roots where the couplings "
+            f"({robin.gamma_plus}, {robin.gamma_minus}) hold {expected}"
+        )
+    return np.sort(roots)[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +349,7 @@ def solve_energy_lattice(
     edge_zone = min(2.0 * math.pi / L, k_hi)
     fine = np.linspace(k_hi - edge_zone, k_hi, int(math.ceil(edge_zone / (resolution * a / L))) + 1)
     k_grid = np.unique(np.concatenate([coarse, fine]))
-    roots, _ = _phase_roots(phase, k_grid)
+    roots, _ = _phase_roots(phase, k_grid, _phase_slope0(robin, L - a))
     roots = [k for k in roots if k > 1e-9 * math.pi / L]
     roots, _ = _dedupe(roots, list(range(len(roots))), _DEDUP_TOL)
     if roots.size > grid.num_sites:
@@ -330,7 +357,8 @@ def solve_energy_lattice(
             f"{roots.size} lattice energy roots exceed the {grid.num_sites}-site spectrum"
         )
 
-    zero = [0.0] if _zero_mode_exists(robin, L) else []
+    # the lattice zero mode is linear between the corner sites, L - a apart
+    zero = [0.0] if _degeneracy(robin, L - a) == 0.0 else []
     real_roots = np.concatenate([zero, roots])
     energies = lattice_dispersion_energy(grid, cfg, real_roots)
     residuals = np.array(

@@ -208,3 +208,29 @@ def test_metadata_echoes_parameters():
     assert meta["gamma_plus"] == "0" and meta["gamma_minus"] == "0"
     assert meta["seed"] == "42"
     assert meta["command"] == "spectrum"
+
+
+@pytest.mark.parametrize("args, driver", [
+    (["spectrum", "--method", "lattice-eig", "--N", "9", "--levels", "3"], "stebz"),
+    (["spectrum", "--method", "lattice-eig", "--N", "9", "--levels", "9"], "stemr"),
+    (["momentum", "--N", "9", "--compare"], "stemr"),
+    (["converge", "--level", "1", "--N-list", "9", "27", "81", "--format", "csv"], "stebz"),
+    (["spectrum", "--method", "lattice-root", "--N", "9", "--gamma", "2", "2"], "none"),
+    (["converge", "--observable", "momentum", "--N-list", "9", "27", "81", "--format", "csv"], "none"),
+    (["measure", "--bc", "dirichlet", "--level", "1", "--cutoff", "10"], "none"),
+])
+def test_backend_header_names_the_drivers_used(args, driver):
+    code, out = run_cli(args)
+    assert code == 0
+    assert parse_csv(out)[0]["backend"] == driver
+
+
+def test_measure_quadrature_builds_the_eigenstate_once(monkeypatch):
+    import pibox.cli
+
+    calls = []
+    build = pibox.cli.energy_eigenstate
+    monkeypatch.setattr(pibox.cli, "energy_eigenstate", lambda *a: calls.append(a) or build(*a))
+    code, _ = run_cli(["measure", "--gamma", "2", "2", "--level", "0", "--method", "quadrature",
+                       "--cutoff", "24"])
+    assert code == 0 and len(calls) == 1

@@ -1,11 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from pibox import (
     LatticeGrid,
     MomentumExtension,
+    PhysicalConfig,
     RobinParams,
     RootScanError,
     build_hamiltonian,
@@ -16,6 +20,7 @@ from pibox import (
     solve_momentum_continuum,
     solve_momentum_lattice,
 )
+from pibox.quantization import _bisect, _phase_roots
 
 # two boundary-bound roots for gamma = -5 on both walls, L = 1
 # (roots of exp(-k)(k+5) = -+(k-5), frozen at high precision)
@@ -198,3 +203,230 @@ def test_unimodularity_guard(cfg):
     # the guard is exercised through the public solver
     roots = solve_momentum_continuum(cfg, MomentumExtension(7.0, -2.0), k_max=2 * math.pi)
     assert roots.residuals.max() <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the vectorized bisection against scalar bisection, bracket by bracket
+# ---------------------------------------------------------------------------
+
+def scalar_bisect(f, a, b, fa, fb, xtol=1e-13):
+    """Reference: plain bisection of one bracket, to |b - a| <= xtol."""
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if fa * fb > 0:
+        raise RootScanError(f"lost bracket on [{a}, {b}]")
+    while b - a > xtol:
+        m = 0.5 * (a + b)
+        if m <= a or m >= b:
+            break
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if fa * fm < 0:
+            b, fb = m, fm
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
+
+
+def scalar_phase_roots(phase, k_grid):
+    """Reference: one scalar bisection per (grid cell, level) bracket."""
+    values = phase(k_grid)
+    two_pi = 2.0 * math.pi
+    lo_lvl = np.ceil(np.minimum(values[:-1], values[1:]) / two_pi - 1e-12)
+    hi_lvl = np.floor(np.maximum(values[:-1], values[1:]) / two_pi + 1e-12)
+    roots, labels = [], []
+    for i in np.nonzero(hi_lvl >= lo_lvl)[0]:
+        for n in range(int(lo_lvl[i]), int(hi_lvl[i]) + 1):
+            target = two_pi * n
+            ga, gb = values[i] - target, values[i + 1] - target
+            if ga * gb > 0:
+                continue
+            roots.append(scalar_bisect(lambda x: phase(np.asarray([x]))[0] - target,
+                                       k_grid[i], k_grid[i + 1], ga, gb))
+            labels.append(n)
+    return np.asarray(roots), np.asarray(labels, dtype=int)
+
+
+def test_bisection_matches_scalar_reference_bit_for_bit():
+    # roots at an endpoint (exact zero there), at the first midpoint and at
+    # a later dyadic midpoint (exact zero collapse), and off the dyadics
+    cs = np.array([0.0, 1.0, 0.5, 0.375, 1.0 / 3.0, 0.1, math.pi / 4.0, 1.0 - 2.0**-40])
+    a, b = np.zeros(cs.size), np.ones(cs.size)
+    got = _bisect(lambda m, sel: m - cs[sel], a, b, a - cs, b - cs)
+    want = [scalar_bisect(lambda x: x - c, 0.0, 1.0, -c, 1.0 - c) for c in cs]
+    assert np.array_equal(got, want)
+    assert got[0] == 0.0 and got[1] == 1.0 and got[2] == 0.5 and got[3] == 0.375
+
+
+def test_bisection_rejects_a_bracket_without_sign_change():
+    with pytest.raises(RootScanError, match="lost bracket"):
+        _bisect(lambda m, sel: m, [1.0], [2.0], [1.0], [2.0])
+
+
+def momentum_phase(n_sites, ell_p, ell_m):
+    grid = LatticeGrid(n_sites, 1.0)
+    a, L = grid.spacing, grid.box_length
+
+    def phase(k):
+        ka = k * a
+        return (2.0 * k * (L - a) + 2.0 * np.arctan2(np.sin(ka) - ell_p, np.cos(ka))
+                + 2.0 * np.arctan2(np.sin(ka) + ell_m, np.cos(ka)))
+
+    edge = 0.5 * math.pi / a
+    return phase, np.linspace(-edge * (1 - 1e-9), edge * (1 - 1e-9), 40 * n_sites + 1)
+
+
+ells = st.floats(-0.99, 0.99, allow_nan=False)
+odd_sizes = st.integers(1, 150).map(lambda j: 2 * j + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_sites=st.integers(1, 50).map(lambda j: 2 * j + 1), ell_p=ells, ell_m=ells)
+def test_phase_roots_match_scalar_reference_bit_for_bit(n_sites, ell_p, ell_m):
+    phase, k_grid = momentum_phase(n_sites, ell_p, ell_m)
+    roots, labels = _phase_roots(phase, k_grid)
+    ref_roots, ref_labels = scalar_phase_roots(phase, k_grid)
+    assert np.array_equal(roots, ref_roots)
+    assert np.array_equal(labels, ref_labels)
+
+
+def test_phase_roots_exact_zero_at_a_grid_point():
+    # ell = 1: k = 0 is a root on the grid itself, label 0
+    phase, k_grid = momentum_phase(9, 1.0, 1.0)
+    k_grid = np.concatenate([k_grid, [0.0]])
+    k_grid.sort()
+    roots, labels = _phase_roots(phase, k_grid)
+    ref_roots, ref_labels = scalar_phase_roots(phase, k_grid)
+    assert np.array_equal(roots, ref_roots) and np.array_equal(labels, ref_labels)
+    assert 0.0 in roots
+
+
+# ---------------------------------------------------------------------------
+# properties over random parameters
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(n_sites=odd_sizes, ell_p=ells, ell_m=ells)
+def test_momentum_lattice_has_n_roots_matching_eigenvalues(n_sites, ell_p, ell_m):
+    grid = LatticeGrid(n_sites, 1.0)
+    ext = MomentumExtension(ell_p, ell_m)
+    roots = solve_momentum_lattice(grid, ext)
+    assert roots.real_roots.size == n_sites
+    assert np.unique(roots.labels).size == n_sites
+    eig = eigh_tridiagonal(build_p_r(grid, ext)).eigenvalues
+    assert np.max(np.abs(np.sort(roots.k_hat) - eig)) <= 1e-10 / grid.spacing
+
+
+finite_couplings = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-2.0, 2.0)).map(
+    lambda t: t[0] * 10.0 ** t[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_sites=odd_sizes, gp=finite_couplings, gm=finite_couplings,
+       length=st.floats(0.5, 2.0))
+# the ground level returns to the phase level of k = 0 inside the first scan cell
+@example(n_sites=3, gp=-0.01, gm=0.03162277660168379, length=1.0)
+# zero modes follow the lattice condition (corner sites L - a apart): none here ...
+@example(n_sites=3, gp=-1.0, gm=-1.0, length=2.0)
+# ... and one here
+@example(n_sites=3, gp=-1.0, gm=-1.0, length=3.0)
+def test_lattice_energy_roots_are_the_in_band_eigenvalues(n_sites, gp, gm, length):
+    cfg = PhysicalConfig(1.0, length)
+    grid = LatticeGrid(n_sites, length)
+    # keep clear of the folded singularity gamma = -2/a
+    assume(min(abs(g + 2.0 / grid.spacing) for g in (gp, gm)) > 1e-3 / grid.spacing)
+    robin = RobinParams(gp, gm)
+    roots = solve_energy_lattice(grid, cfg, robin)
+    eig = eigh_tridiagonal(build_hamiltonian(grid, cfg, robin)).eigenvalues
+    band_top = (2.0 / grid.spacing) ** 2 / (2.0 * cfg.mass)
+    # an exact zero mode may come out of the eigensolver at -1e-16
+    in_band = eig[(eig >= -1e-12 * band_top) & (eig <= band_top)]
+    scale = np.maximum(1.0, np.abs(in_band))
+    assert roots.energies.size == in_band.size
+    assert np.max(np.abs(np.sort(roots.energies) - in_band) / scale, initial=0.0) <= 1e-9
+
+
+def analytic_bound_count(gp, gm, length):
+    """Bound states of Robin walls: at most one per attractive wall."""
+    finite = [g for g in (gp, gm) if not math.isinf(g)]
+    attractive = sum(g < 0 for g in finite)
+    if len(finite) < 2:
+        return int(attractive == 1 and finite[0] * length < -1.0)
+    d = gp * gm * length + gp + gm
+    if attractive == 2 and d > 0:
+        return 2
+    if attractive == 1 and d < 0:
+        return 1
+    return max(attractive - 1, 0)
+
+
+couplings = st.one_of(finite_couplings.filter(lambda g: abs(g) <= 20.0), st.just(math.inf))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gp=couplings, gm=couplings, length=st.floats(0.5, 2.0))
+@example(gp=math.inf, gm=-1.0, length=1.0)  # threshold: a zero mode, no bound state
+@example(gp=-2.0, gm=-2.0, length=1.0)  # D = 0: one bound state and a zero mode
+def test_bound_states_count_and_match_the_lattice(gp, gm, length):
+    cfg = PhysicalConfig(1.0, length)
+    robin = RobinParams(gp, gm)
+    expected = analytic_bound_count(gp, gm, length)
+    roots = solve_energy_continuum(cfg, robin, k_max=2.0 * math.pi / length)
+    assert roots.bound_roots.size == expected
+    assert np.all(np.diff(roots.bound_roots) <= 0.0)
+    if not expected:
+        return
+    h = build_hamiltonian(LatticeGrid(2001, length), cfg, robin, boundary="folded")
+    low = eigh_tridiagonal(h, select=(0, expected - 1)).eigenvalues
+    bound = np.sort(roots.bound_energies)
+    assert np.max(np.abs(bound - low) / np.maximum(1.0, np.abs(low))) <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# bound-state regressions
+# ---------------------------------------------------------------------------
+
+def test_weak_attractive_walls_bind_one_state(cfg):
+    # the even state cosh(kappa x) binds with kappa tanh(kappa L/2) = |gamma|
+    roots = solve_energy_continuum(cfg, RobinParams(-0.01, -0.01), k_max=2 * math.pi)
+    assert roots.bound_roots.size == 1
+    kappa = roots.bound_roots[0]
+    assert kappa * math.tanh(kappa / 2) == pytest.approx(0.01, abs=1e-14)
+    assert roots.bound_energies[0] == pytest.approx(-0.01002, abs=1e-5)
+    assert roots.labels[0] == 1
+
+
+def test_hard_wall_beside_an_attractive_wall_binds_one_state(cfg):
+    # sinh(kappa (L/2 - x)) meets the Robin wall when kappa coth(kappa L) = |gamma|
+    for robin in (RobinParams(math.inf, -5.0), RobinParams(-5.0, math.inf)):
+        roots = solve_energy_continuum(cfg, robin, k_max=2 * math.pi)
+        assert roots.bound_roots.size == 1
+        kappa = roots.bound_roots[0]
+        assert kappa / math.tanh(kappa) == pytest.approx(5.0, abs=1e-12)
+        h = build_hamiltonian(LatticeGrid(2001, 1.0), cfg, robin)
+        assert eigh_tridiagonal(h, select=(0, 0)).eigenvalues[0] == pytest.approx(-12.47, abs=0.01)
+    # gamma L = -1 is the threshold: no bound state at or above it
+    roots = solve_energy_continuum(cfg, RobinParams(math.inf, -1.0), k_max=2 * math.pi)
+    assert roots.bound_roots.size == 0
+
+
+def test_equal_strong_couplings_give_a_degenerate_pair(cfg):
+    # the two levels split by ~ 4 |gamma| exp(-|gamma| L), far below the
+    # float spacing at kappa = |gamma|
+    roots = solve_energy_continuum(cfg, RobinParams(-1000.0, -1000.0), k_max=2 * math.pi)
+    assert np.array_equal(roots.bound_roots, [1000.0, 1000.0])
+    assert roots.labels[0] == 2
+
+
+def test_bound_scan_memory_does_not_grow_with_the_coupling(cfg):
+    tracemalloc.start()
+    try:
+        roots = solve_energy_continuum(cfg, RobinParams(-1e4, -1e4 + 1), k_max=2 * math.pi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(roots.bound_roots, [1e4, 1e4 - 1])
+    assert peak < 2_000_000
