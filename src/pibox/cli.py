@@ -199,7 +199,7 @@ def cmd_spectrum(args, stream) -> int:
         return [
             [int(roots.labels[i]), roots.real_roots[i], roots.energies[i],
              roots.residuals[i], "lattice_root"]
-            for i in range(min(levels, roots.real_roots.size))
+            for i in range(roots.real_roots.size)
         ]
 
     def lattice_eig_rows(grid):
@@ -217,14 +217,20 @@ def cmd_spectrum(args, stream) -> int:
         grid = _grid(args, cfg)
         eig = lattice_eig_rows(grid)
         other = lattice_root_rows(grid) if not robin.is_dirichlet else continuum_rows()
+        # pair by level: roots start above the lattice bound levels (E < 0; an exact
+        # zero mode may come out of LAPACK a few ulps below 0) and end at the band top
+        band_top = (2.0 / grid.spacing) ** 2 / (2.0 * cfg.mass)
+        bound = sum(row[2] < -1e-12 * band_top for row in eig)
         columns = columns + ["E_other", "agreement"]
         meta["compare"] = "lattice_eig vs " + other[0][4] if other else "n/a"
-        for row_e, row_o in zip(eig, other):
-            rows.append(row_e[:5] + [row_o[2], abs(row_e[2] - row_o[2])])
+        for i, row_e in enumerate(eig):
+            row_o = other[i - bound] if bound <= i < bound + len(other) else None
+            rows.append(row_e[:5] + ([None, None] if row_o is None
+                                     else [row_o[2], abs(row_e[2] - row_o[2])]))
     elif args.method == "continuum":
         rows = continuum_rows()
     elif args.method == "lattice-root":
-        rows = lattice_root_rows(_grid(args, cfg))
+        rows = lattice_root_rows(_grid(args, cfg))[:levels]
     elif args.method == "lattice-eig":
         rows = lattice_eig_rows(_grid(args, cfg))
     else:
@@ -310,9 +316,9 @@ def cmd_measure(args, stream) -> int:
     elif args.method == "quadrature":
         try:
             state = energy_eigenstate(cfg, robin, level)
+            dist = general_distribution(cfg, robin, ext, state, cutoff)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        dist = general_distribution(cfg, robin, ext, state, cutoff)
     else:
         raise ConfigError(f"unknown method {args.method!r}")
 
@@ -554,7 +560,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, nargs=2, metavar=("GP", "GM"))
     p.add_argument("--level", type=int, help="energy level (default 1)")
     p.add_argument("--cutoff", type=int, help="outcome label cutoff (default 10000)")
-    p.add_argument("--method", choices=["closed", "quadrature"])
+    p.add_argument("--method", choices=["closed", "quadrature"],
+                   help="closed: the rational hard-wall / free-end ground laws (default); "
+                        "quadrature: the two-sinc closed form of the overlaps, any Robin state")
     p.add_argument("--ell", type=float, nargs=2, metavar=("EP", "EM"))
     p.add_argument("--expectation-N", type=int,
                    help="lattice size for <p_R>, <p_I> (default 999)")

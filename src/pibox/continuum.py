@@ -314,7 +314,8 @@ class EnergyEigenstate:
 def energy_eigenstate(cfg: PhysicalConfig, robin: RobinParams, l: int) -> EnergyEigenstate:
     """Closed-form eigenstate for hard walls, the constant Neumann ground
     state for l = 0, and otherwise the trigonometric state built on the
-    quantized root with ascending-energy label l."""
+    quantized root with ascending-energy label l.  Bound levels and the
+    linear zero modes of other couplings raise ValueError."""
     L = cfg.box_length
     if robin.is_dirichlet:
         if l < 1:
@@ -335,11 +336,13 @@ def energy_eigenstate(cfg: PhysicalConfig, robin: RobinParams, l: int) -> Energy
                          "have no closed-form eigenstate here)")
     k = float(roots.real_roots[list(roots.labels).index(l)])
     if k == 0.0:
+        if robin != RobinParams.neumann():  # a linear zero mode (D = 0)
+            raise ValueError(f"the k = 0 level {l} is linear in x: no two-exponential form")
         amp = 0.5 / math.sqrt(L)  # constant state a + b = 1/sqrt(L) at k = 0
         return EnergyEigenstate(l, "neumann", 0.0, 0.0, amp, amp, cfg, robin)
 
-    gm = robin.gamma_minus
-    beta = cmath.exp(1j * k * L / 2) * (gm + 1j * k)
+    gm = robin.gamma_minus  # a hard left wall is the limit gm -> inf of beta / gm
+    beta = cmath.exp(1j * k * L / 2) * (1.0 if math.isinf(gm) else gm + 1j * k)
     a = -1j * beta
     b = np.conj(a)  # real-valued eigenfunction
     # closed-form normalization of |a e^{ikx} + b e^{-ikx}|^2

@@ -1,24 +1,26 @@
 """Momentum-measurement statistics in energy eigenstates.
 
 For equal extension parameters the quantized outcomes are k = pi*n/L.
-Hard-wall (Dirichlet) eigenstates and the Neumann ground state have
-closed-form outcome probabilities; ``general_distribution`` reproduces
-them from quadrature overlaps and extends to numerically built Robin
-states.  Truncated sums carry their analytic tails (digamma/trigamma
-series remainders) instead of being renormalized, so normalization
-defects stay visible.  ``fourier_density`` gives the contrasting
-unquantized (whole-line Fourier) momentum density of the same states.
+Box and momentum eigenstates are both sums of two exponentials, so
+``general_distribution`` gives every outcome probability in closed form
+(two sincs); the hard-wall and Neumann-ground laws have their own
+rational forms.  Truncated sums carry their analytic tails
+(digamma/trigamma series remainders) instead of being renormalized, so
+normalization defects stay visible.  ``fourier_density`` gives the
+contrasting unquantized (whole-line Fourier) momentum density.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
-from scipy.special import polygamma, psi
+from scipy.special import polygamma, psi, zeta
 
-from .continuum import EnergyEigenstate, momentum_eigenstate, sample_scalar_on_grid
+from .continuum import EnergyEigenstate, _cospi, _sinpi, sample_scalar_on_grid
+from .continuum import momentum_eigenstate  # noqa: F401  (unused; perfbench/spans.py wraps it here)
 from .lattice import (
     LatticeGrid,
     MomentumExtension,
@@ -84,14 +86,13 @@ class MomentumDistribution:
         return math.sqrt(max(self.second_moment() - self.first_moment() ** 2, 0.0))
 
 
-def _odd_series_tails(j_min: int, l: int):
-    """Remainders of the alternating-parity lattice sums, via trigamma
-    and digamma:
+def _odd_series_tails(j_min: float, l: float):
+    """Remainders of the step-2 lattice sums over j = j_min, j_min + 2, ...
+    (j_min > 0 and the shift l real), via trigamma and digamma:
 
-        S2a = sum_{j odd >= j_min} 1/j^2        = psi'(j_min/2)/4
-        S2b = sum_{j odd >= j_min} 1/(j+2l)^2   = psi'(j_min/2 + l)/4
-        S1  = sum_{j odd >= j_min} [1/j - 1/(j+2l)]
-                                                = [psi(j_min/2+l) - psi(j_min/2)]/2
+        S2a = sum_j 1/j^2               = psi'(j_min/2)/4
+        S2b = sum_j 1/(j+2l)^2          = psi'(j_min/2 + l)/4
+        S1  = sum_j [1/j - 1/(j+2l)]    = [psi(j_min/2+l) - psi(j_min/2)]/2
     """
     half = 0.5 * j_min
     s2a = 0.25 * float(polygamma(1, half))
@@ -176,40 +177,44 @@ def general_distribution(
     state: EnergyEigenstate,
     cutoff_n: int = 64,
 ) -> MomentumDistribution:
-    """Outcome probabilities |<phi_k|psi>|^2 from quadrature overlaps.
-
-    Needs equal extension parameters so the outcomes sit at k = pi*n/L.
-    Because the state lives in the symmetric sector, the probabilities
-    are independent of the extension parameter value, and the outcomes
-    are complete: the tail is reported as the missing probability.
-    """
+    """Outcome probabilities of psi = A e^{iqx} + B e^{-iqx} in closed form,
+    P(k_n) = (L/2) |A sinc((q-k_n)L/2) + B sinc((q+k_n)L/2)|^2 at k_n = pi*n/L
+    (equal extension parameters; P does not depend on their value).  Per
+    parity of n the tail is a pair of 1/(n -+ t)^2 series, t = qL/pi, and
+    their cross term.  Unless psi vanishes at both walls P ~ 1/n^2, so
+    delta_k is infinite."""
     if ext.ell_plus != ext.ell_minus:
         raise ValueError("general distribution needs equal extension parameters")
-    psi = state.two_component()
-    nrm = psi.norm()
+    nrm = state.two_component().norm()
     if abs(nrm - 1.0) > 1e-6:
         raise ValueError(f"state is not normalized (norm = {nrm})")
     L = cfg.box_length
+    a, b = state.coefficient_a, state.coefficient_b
+    t = state.k * L / math.pi
+    if t >= cutoff_n + 1:
+        raise ValueError(f"cutoff_n must exceed qL/pi - 1 = {t - 1} (the state's peak)")
     n = np.arange(-cutoff_n, cutoff_n + 1)
-    k = math.pi * n / L
-    p = np.empty_like(k)
-    for i, (ni, ki) in enumerate(zip(n, k)):
-        phi = momentum_eigenstate(cfg, ext, float(ki), int(ni)).wavefunction()
-        p[i] = abs(phi.inner(psi)) ** 2
 
-    dist = MomentumDistribution(
-        n=n,
-        k=k,
-        probability=p,
-        cutoff_n=cutoff_n,
-        tail_mass=float(max(1.0 - p.sum(), 0.0)),
-        delta_k=0.0,
-        second_moment_tail=None,
-        meta={"kind": "general", "state_kind": state.kind, "l": state.l,
-              "ell": ext.ell_plus},
-    )
-    dist.delta_k = dist.delta_k_from_moments()
-    return dist
+    u = np.stack([t - n, t + n])  # sinc((q -+ k_n)L/2) = sin(pi u/2)/(pi u/2), exact at integer u
+    safe = np.where(u == 0.0, 1.0, u)
+    sinc = np.where(u == 0.0, 1.0, _sinpi(0.5 * safe) / (0.5 * math.pi * safe))
+    p = 0.5 * L * np.abs(a * sinc[0] + b * sinc[1]) ** 2
+
+    tail = 0.0
+    for n0 in (cutoff_n + 1, cutoff_n + 2):  # first tail outcome of each parity
+        trig, alpha = (_sinpi(0.5 * t), a) if n0 % 2 == 0 else (_cospi(0.5 * t), -a)
+        s2a, s2b, s1 = _odd_series_tails(n0 - t, t)
+        if t > n0 / 4:  # cross = sum 1/(n^2 - t^2)
+            cross = s1 / (2.0 * t)
+        else:  # as a power series in t, without the cancellation in s1
+            m = np.arange(16)
+            cross = 0.25 * float(zeta(2.0 * m + 2.0, 0.5 * n0) @ (0.5 * t) ** (2 * m))
+        tail += (2.0 * L / math.pi**2) * float(trig) ** 2 * (
+            (abs(a) ** 2 + abs(b) ** 2) * (s2a + s2b) - 4.0 * (alpha * np.conj(b)).real * cross)
+
+    delta_k = abs(state.k) if robin.is_dirichlet else math.inf
+    return MomentumDistribution(n, math.pi * n / L, p, cutoff_n, tail, delta_k, meta={
+        "kind": "general", "state_kind": state.kind, "l": state.l, "ell": ext.ell_plus})
 
 
 def p_expectations(
@@ -246,14 +251,12 @@ class FourierDensity:
     delta_k: float
     tail_mass: float
     second_moment_tail: float | None
+    _density_exact: Callable[[np.ndarray], np.ndarray]  # the closed form behind ``density``
     meta: dict = field(default_factory=dict)
 
     def total_mass(self) -> float:
         x, w = quadrature_nodes(-self.cutoff_K, self.cutoff_K, self.meta["box_length"])
         return float(w @ self._density_exact(x)) + self.tail_mass
-
-    def _density_exact(self, k):
-        raise NotImplementedError  # bound at construction
 
     def partial_second_moment(self, K: float) -> float:
         if K > self.cutoff_K:
@@ -315,10 +318,8 @@ def fourier_density(
 
         ks = np.linspace(-cutoff_K, cutoff_K, num_samples)
         tail_mass = 2.0 / (math.pi * L * cutoff_K)  # mean sin^2 = 1/2, both sides
-        out = FourierDensity(ks, density(ks), cutoff_K, math.inf, tail_mass, None,
-                             meta={"kind": "neumann", "box_length": L})
-        out._density_exact = density
-        return out
+        return FourierDensity(ks, density(ks), cutoff_K, math.inf, tail_mass, None, density,
+                              meta={"kind": "neumann", "box_length": L})
 
     if kind != "dirichlet":
         raise ValueError(f"kind must be 'dirichlet' or 'neumann', got {kind!r}")
@@ -343,7 +344,5 @@ def fourier_density(
     second = float(w @ (x**2 * density(x))) + k2_tail
 
     ks = np.linspace(-cutoff_K, cutoff_K, num_samples)
-    out = FourierDensity(ks, density(ks), cutoff_K, math.sqrt(second), tail_mass,
-                         k2_tail, meta={"kind": "dirichlet", "l": l, "box_length": L})
-    out._density_exact = density
-    return out
+    return FourierDensity(ks, density(ks), cutoff_K, math.sqrt(second), tail_mass,
+                          k2_tail, density, meta={"kind": "dirichlet", "l": l, "box_length": L})

@@ -59,6 +59,20 @@ def test_spectrum_compare_agreement():
     assert max(agreements) <= 1e-9
 
 
+@pytest.mark.parametrize("gammas, bound", [(("-5", "-5"), 2), (("3", "-7"), 1),
+                                           (("-2", "-2"), 1), (("0.3", "50"), 0)])
+def test_spectrum_compare_pairs_rows_by_level(gammas, bound):
+    code, out = run_cli(["spectrum", "--N", "99", "--compare", "--gamma", *gammas])
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    energies = [float(r[header.index("E")]) for r in rows]
+    paired = [r for r in rows if r[header.index("agreement")] != ""]
+    # the lattice bound levels have no root to compare with
+    assert [r[header.index("E_other")] for r in rows[:bound]] == [""] * bound
+    assert all(e < 0 for e in energies[:bound]) and len(paired) == len(rows) - bound
+    assert max(float(r[header.index("agreement")]) for r in paired) <= 1e-9
+
+
 def test_spectrum_rejects_bad_config():
     code, _ = run_cli(["spectrum", "--levels", "-3"])
     assert code == 2
@@ -116,6 +130,28 @@ def test_measure_quadrature_robin():
     assert code == 0
     meta, _, rows = parse_csv(out)
     assert float(meta["total_probability"]) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_measure_quadrature_robin_spread_is_infinite():
+    # P ~ 1/n^2 unless the state vanishes at both walls: sum k^2 P diverges
+    code, out = run_cli(["measure", "--gamma", "2", "2", "--level", "3",
+                         "--cutoff", "192", "--method", "quadrature"])
+    assert code == 0
+    assert parse_csv(out)[0]["delta_k"] == "inf"
+    code, out = run_cli(["measure", "--bc", "dirichlet", "--level", "2",
+                         "--cutoff", "16", "--method", "quadrature"])
+    assert float(parse_csv(out)[0]["delta_k"]) == 2.0 * math.pi
+
+
+@pytest.mark.parametrize("argv", [
+    ["--gamma", "-2", "-2", "--level", "1", "--cutoff", "16"],  # linear zero mode
+    ["--gamma", "inf", "-1", "--level", "0", "--cutoff", "16"],  # linear zero mode
+    ["--gamma", "2", "2", "--level", "1", "--cutoff", "16", "--ell", "1", "0"],  # unequal ell
+    ["--bc", "dirichlet", "--level", "9", "--cutoff", "4"],  # peak beyond the cutoff
+])
+def test_measure_quadrature_config_errors(argv):
+    code, out = run_cli(["measure", "--method", "quadrature", *argv])
+    assert code == 2 and out == ""
 
 
 def test_measure_closed_form_guard():

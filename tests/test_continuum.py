@@ -224,6 +224,32 @@ def test_robin_eigenstate_residual_and_norm(cfg, robin2):
         assert state.E == pytest.approx(roots.energies[level], rel=1e-12)
 
 
+@pytest.mark.parametrize("couplings, level", [
+    ((-2.0, -2.0), 1),  # D = g+ g- L + g+ + g- = 0: bound level 0, zero mode 1
+    ((math.inf, -1.0), 0),  # hard wall beside gamma L = -1
+    ((-1.0, math.inf), 0),
+])
+def test_linear_zero_modes_have_no_two_exponential_state(cfg, couplings, level):
+    robin = RobinParams(*couplings)
+    roots = solve_energy_continuum(cfg, robin)
+    assert roots.real_roots[list(roots.labels).index(level)] == 0.0
+    with pytest.raises(ValueError, match="no two-exponential form"):
+        energy_eigenstate(cfg, robin, level)
+
+
+def test_neumann_zero_mode_is_the_constant(cfg):
+    state = energy_eigenstate(cfg, RobinParams.neumann(), 0)
+    assert state.kind == "neumann" and state.bc_residual() == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("couplings", [(3.0, math.inf), (math.inf, 3.0), (1e-12, math.inf)])
+def test_one_hard_wall_eigenstates(cfg, couplings):
+    for level in (0, 1, 2):
+        state = energy_eigenstate(cfg, RobinParams(*couplings), level)
+        assert max(state.bc_residual()) <= 1e-10
+        assert state.two_component().norm() == pytest.approx(1.0, abs=1e-10)
+
+
 def test_domain_incompatibility_witness(cfg, robin2, ext_i):
     # momentum eigenstates violate the Hamiltonian domain ...
     phi = momentum_eigenstate(cfg, ext_i, math.pi, 1).wavefunction()

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pibox import (
     MomentumExtension,
+    PhysicalConfig,
     RobinParams,
     dirichlet_distribution,
     energy_eigenstate,
@@ -13,10 +16,23 @@ from pibox import (
     neumann_ground_distribution,
     p_expectations,
 )
+from pibox.continuum import momentum_eigenstate
 
 
 def prob(dist, n):
     return float(dist.probability[list(dist.n).index(n)])
+
+
+def quadrature_probabilities(cfg, ext, state, labels):
+    """Reference overlaps |<phi_k|psi>|^2 at k = pi*n/L by quadrature, one
+    momentum eigenstate per outcome (the O(cutoff^2) route the closed form
+    of ``general_distribution`` replaced)."""
+    psi = state.two_component()
+    return np.array([
+        abs(momentum_eigenstate(cfg, ext, math.pi * n / cfg.box_length, int(n))
+            .wavefunction().inner(psi)) ** 2
+        for n in labels
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +108,68 @@ def test_neumann_second_moment_diverges(cfg):
 
 
 # ---------------------------------------------------------------------------
-# quadrature route
+# general (two-sinc) closed form
 # ---------------------------------------------------------------------------
+
+positive_couplings = st.floats(-6.0, 4.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gp=positive_couplings, gm=positive_couplings, level=st.integers(0, 4),
+       ell=st.floats(-5.0, 5.0), ell2=st.floats(-5.0, 5.0), cutoff=st.integers(8, 256),
+       length=st.floats(0.5, 2.0))
+def test_general_distribution_properties(gp, gm, level, ell, ell2, cutoff, length):
+    cfg = PhysicalConfig(1.0, length)
+    robin = RobinParams(gp, gm)
+    state = energy_eigenstate(cfg, robin, level)
+    ext = MomentumExtension(ell, ell)
+    dist = general_distribution(cfg, robin, ext, state, cutoff_n=cutoff)
+    # against quadrature overlaps: every outcome near the peak and a few far out
+    labels = np.unique(np.concatenate([np.arange(-8, 9), [cutoff, cutoff // 2, 1 - cutoff]]))
+    quad = quadrature_probabilities(cfg, ext, state, labels)
+    assert np.max(np.abs(dist.probability[labels + cutoff] - quad)) <= 1e-12
+    assert abs(dist.total_mass() - 1.0) <= 1e-12
+    assert abs(dist.first_moment()) <= 1e-12
+    other = general_distribution(cfg, robin, MomentumExtension(ell2, ell2), state, cutoff_n=cutoff)
+    assert np.array_equal(other.probability, dist.probability)
+    assert other.tail_mass == dist.tail_mass
+    # the tail is the sum of the outcomes beyond the cutoff
+    wide = general_distribution(cfg, robin, ext, state, cutoff_n=2 * cutoff)
+    beyond = wide.probability[np.abs(wide.n) > cutoff].sum()
+    assert abs(dist.tail_mass - wide.tail_mass - beyond) <= 1e-14
+    assert math.isinf(dist.delta_k)  # P ~ 1/n^2 unless psi vanishes at both walls
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_general_tail_matches_closed_forms(cfg, ext_i, l):
+    hard = general_distribution(cfg, RobinParams.dirichlet(), ext_i,
+                                energy_eigenstate(cfg, RobinParams.dirichlet(), l), cutoff_n=40)
+    closed = dirichlet_distribution(cfg, l, cutoff_n=40)
+    assert hard.tail_mass == pytest.approx(closed.tail_mass, rel=1e-12)
+    assert np.max(np.abs(hard.probability - closed.probability)) <= 1e-15
+    free = general_distribution(cfg, RobinParams.neumann(), ext_i,
+                                energy_eigenstate(cfg, RobinParams.neumann(), 0), cutoff_n=40)
+    assert free.tail_mass == pytest.approx(neumann_ground_distribution(cfg, 40).tail_mass, rel=1e-12)
+
+
+def test_general_delta_k_finite_only_for_hard_walls(cfg, ext_i, robin2):
+    for l in (1, 2):
+        state = energy_eigenstate(cfg, RobinParams.dirichlet(), l)
+        dist = general_distribution(cfg, RobinParams.dirichlet(), ext_i, state, cutoff_n=64)
+        assert dist.delta_k == state.k == math.pi * l
+    # sum k^2 P grows linearly with the window: the spread is a cutoff artefact
+    state = energy_eigenstate(cfg, robin2, 3)
+    dist = general_distribution(cfg, robin2, ext_i, state, cutoff_n=384)
+    assert math.isinf(dist.delta_k)
+    assert dist.partial_second_moment(384) > 1.8 * dist.partial_second_moment(192)
+    neumann = energy_eigenstate(cfg, RobinParams.neumann(), 0)
+    assert math.isinf(general_distribution(cfg, RobinParams.neumann(), ext_i, neumann).delta_k)
+
+
+def test_general_distribution_rejects_cutoff_below_the_peak(cfg, ext_i):
+    state = energy_eigenstate(cfg, RobinParams.dirichlet(), 9)
+    with pytest.raises(ValueError, match="cutoff_n"):
+        general_distribution(cfg, RobinParams.dirichlet(), ext_i, state, cutoff_n=4)
 
 def test_general_matches_dirichlet_closed_form(cfg, ext_i):
     state = energy_eigenstate(cfg, RobinParams.dirichlet(), 1)
