@@ -2,9 +2,11 @@
 
 Verbs: spectrum, momentum, measure, converge, fourier, selfcheck.
 Results go to stdout (or --output) as CSV with '#'-prefixed metadata
-lines, or as a single JSON object {"meta": ..., "data": ...}.  All
-output is deterministic for a fixed configuration and seed: floats are
-printed with 17 significant digits and no timestamps are emitted.
+lines, or as a single JSON object {"meta": ..., "data": ...}.  Tables are
+columns (name -> array); the CSV body is one '%d'/'%.17g'/'%s' row template
+applied to all rows in a single write.  All output is deterministic for a
+fixed configuration and seed: floats are printed with 17 significant
+digits and no timestamps are emitted.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical failure.
 """
@@ -12,6 +14,7 @@ Exit codes: 0 ok, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -75,18 +78,40 @@ def _jsonable(value):
     return value
 
 
-def _emit(stream, meta: dict, columns: list[str], rows: list[list], fmt: str):
+_FIELDS = {"i": "%d", "u": "%d", "f": "%.17g"}  # by dtype kind; "%.17g" % x == _fmt(x)
+
+
+def _cells(col: np.ndarray, fmt: str) -> list:
+    """One column's values as the writer takes them: Python numbers for
+    integer and float arrays, each cell through _jsonable or _fmt otherwise
+    (None is an empty CSV field)."""
+    if col.dtype.kind == "f" and fmt == "json":  # _jsonable spells every infinity "inf"
+        out = col.astype(object)
+        out[np.isinf(col)] = "inf"
+        return out.tolist()
+    if col.dtype.kind in _FIELDS:
+        return col.tolist()
     if fmt == "json":
-        data = [dict(zip(columns, (_jsonable(v) for v in row))) for row in rows]
+        return [_jsonable(v) for v in col.tolist()]
+    return ["" if v is None else _fmt(v) for v in col.tolist()]
+
+
+def _emit(stream, meta: dict, table: dict, fmt: str):
+    """Write ``table`` (column name -> equal-length column) with ``meta``:
+    JSON rows, or '#' meta lines, a header and the CSV body in one write."""
+    cols = [np.asarray(c) for c in table.values()]
+    cells = [_cells(c, fmt) for c in cols]
+    if fmt == "json":
+        data = [dict(zip(table, row)) for row in zip(*cells)]
         obj = {"meta": {k: _jsonable(v) for k, v in meta.items()}, "data": data}
         stream.write(json.dumps(obj, indent=2))
         stream.write("\n")
         return
     for key, value in meta.items():
         stream.write(f"# {key} = {_fmt(value)}\n")
-    stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join("" if v is None else _fmt(v) for v in row) + "\n")
+    stream.write(",".join(table) + "\n")
+    row = ",".join(_FIELDS.get(c.dtype.kind, "%s") for c in cols) + "\n"
+    stream.write((row * len(cols[0])) % tuple(itertools.chain.from_iterable(zip(*cells))))
 
 
 def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.Namespace:
@@ -112,11 +137,16 @@ def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.N
     return args
 
 
-def _physical(args) -> PhysicalConfig:
+def _checked(make, *args, **kwargs):
+    """make(*args, **kwargs), with its ValueError (a rejected input) as ConfigError."""
     try:
-        return PhysicalConfig(mass=float(args.mass), box_length=float(args.length))
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _physical(args) -> PhysicalConfig:
+    return _checked(PhysicalConfig, mass=float(args.mass), box_length=float(args.length))
 
 
 def _robin(args) -> RobinParams:
@@ -127,18 +157,19 @@ def _robin(args) -> RobinParams:
         return RobinParams.dirichlet()
     if bc == "neumann":
         return RobinParams.neumann()
-    if bc == "robin":
-        if args.gamma is None:
-            raise ConfigError("--gamma GP GM is required for Robin boundary conditions")
-        return RobinParams(float(args.gamma[0]), float(args.gamma[1]))
-    raise ConfigError(f"unknown boundary condition {bc!r}")
+    if bc != "robin":
+        raise ConfigError(f"unknown boundary condition {bc!r}")
+    if args.gamma is None:
+        raise ConfigError("--gamma GP GM is required for Robin boundary conditions")
+    return _checked(RobinParams, float(args.gamma[0]), float(args.gamma[1]))
 
 
-def _grid(args, cfg) -> LatticeGrid:
-    try:
-        return LatticeGrid(int(args.N), cfg.box_length)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _extension(args) -> MomentumExtension:
+    return _checked(MomentumExtension, float(args.ell[0]), float(args.ell[1]))
+
+
+def _grid(num_sites, cfg) -> LatticeGrid:
+    return _checked(LatticeGrid, int(num_sites), cfg.box_length)
 
 
 def _echo_common(args, cfg) -> dict:
@@ -176,67 +207,61 @@ def cmd_spectrum(args, stream) -> int:
     meta.update(gamma_plus=robin.gamma_plus, gamma_minus=robin.gamma_minus,
                 method=args.method, levels=levels, boundary=args.boundary)
 
-    rows = []
-    columns = ["index", "k_or_kappa", "E", "residual", "method"]
+    def table(method, index, k, E, residual=None):  # the first `levels` rows
+        n = min(len(index), levels)
+        residual = np.full(n, None) if residual is None else residual
+        return {"index": index[:n], "k_or_kappa": k[:n], "E": E[:n],
+                "residual": residual[:n], "method": np.full(n, method)}
 
-    def continuum_rows():
+    def continuum_table():
         k_max = args.k_max or (levels + 2) * math.pi / cfg.box_length
-        roots = solve_energy_continuum(cfg, robin, k_max=float(k_max))
-        out = []
+        roots = _checked(solve_energy_continuum, cfg, robin, k_max=float(k_max))
+        cols = roots.labels, roots.real_roots, roots.energies, roots.residuals
         if args.bound_states and roots.bound_roots is not None:
             order = np.argsort(-roots.bound_roots)  # ascending energy
-            first = roots.meta["first_label"]
-            for rank, idx in enumerate(order):
-                out.append([first + rank, roots.bound_roots[idx],
-                            roots.bound_energies[idx], 0.0, "continuum_root"])
-        for i in range(roots.real_roots.size):
-            out.append([int(roots.labels[i]), roots.real_roots[i],
-                        roots.energies[i], roots.residuals[i], "continuum_root"])
-        return out[:levels]
+            bound = (roots.meta["first_label"] + np.arange(order.size), roots.bound_roots[order],
+                     roots.bound_energies[order], np.zeros(order.size))
+            cols = [np.concatenate(pair) for pair in zip(bound, cols)]
+        return table("continuum_root", *cols)
 
-    def lattice_root_rows(grid):
+    def lattice_root_table(grid):
         roots = solve_energy_lattice(grid, cfg, robin)
-        return [
-            [int(roots.labels[i]), roots.real_roots[i], roots.energies[i],
-             roots.residuals[i], "lattice_root"]
-            for i in range(roots.real_roots.size)
-        ]
+        return table("lattice_root", roots.labels, roots.real_roots, roots.energies,
+                     roots.residuals)
 
-    def lattice_eig_rows(grid):
+    def lattice_eig_table(grid):
         h = build_hamiltonian(grid, cfg, robin, boundary=args.boundary)
         sel_hi = min(levels, grid.num_sites) - 1
         res = eigh_tridiagonal(h, select=(0, sel_hi))
         meta["backend"] = res.meta["backend"]
         first = 1 if robin.is_dirichlet else 0
-        return [
-            [i + first, _dispersion_wavenumber(lam, grid, cfg), lam, None, "lattice_eig"]
-            for i, lam in enumerate(res.eigenvalues)
-        ]
+        k = np.array([_dispersion_wavenumber(lam, grid, cfg) for lam in res.eigenvalues])
+        return table("lattice_eig", first + np.arange(k.size), k, res.eigenvalues)
 
     if args.compare:
-        grid = _grid(args, cfg)
-        eig = lattice_eig_rows(grid)
-        other = lattice_root_rows(grid) if not robin.is_dirichlet else continuum_rows()
+        grid = _grid(args.N, cfg)
+        out = lattice_eig_table(grid)
+        other = lattice_root_table(grid) if not robin.is_dirichlet else continuum_table()
         # pair by level: roots start above the lattice bound levels (E < 0; an exact
         # zero mode may come out of LAPACK a few ulps below 0) and end at the band top
         band_top = (2.0 / grid.spacing) ** 2 / (2.0 * cfg.mass)
-        bound = sum(row[2] < -1e-12 * band_top for row in eig)
-        columns = columns + ["E_other", "agreement"]
-        meta["compare"] = "lattice_eig vs " + other[0][4] if other else "n/a"
-        for i, row_e in enumerate(eig):
-            row_o = other[i - bound] if bound <= i < bound + len(other) else None
-            rows.append(row_e[:5] + ([None, None] if row_o is None
-                                     else [row_o[2], abs(row_e[2] - row_o[2])]))
+        E, E_other = out["E"], other["E"]
+        bound = int(np.sum(E < -1e-12 * band_top))
+        n = min(E.size - bound, E_other.size)
+        out["E_other"], out["agreement"] = np.full(E.size, None), np.full(E.size, None)
+        out["E_other"][bound:bound + n] = E_other[:n]
+        out["agreement"][bound:bound + n] = np.abs(E[bound:bound + n] - E_other[:n])
+        meta["compare"] = "lattice_eig vs " + str(other["method"][0]) if E_other.size else "n/a"
     elif args.method == "continuum":
-        rows = continuum_rows()
+        out = continuum_table()
     elif args.method == "lattice-root":
-        rows = lattice_root_rows(_grid(args, cfg))[:levels]
+        out = lattice_root_table(_grid(args.N, cfg))
     elif args.method == "lattice-eig":
-        rows = lattice_eig_rows(_grid(args, cfg))
+        out = lattice_eig_table(_grid(args.N, cfg))
     else:
         raise ConfigError(f"unknown method {args.method!r}")
 
-    _emit(stream, meta, columns, rows, args.format)
+    _emit(stream, meta, out, args.format)
     return 0
 
 
@@ -250,41 +275,32 @@ MOMENTUM_DEFAULTS = dict(mass=1.0, length=1.0, N=99, method="lattice-root",
 
 def cmd_momentum(args, stream) -> int:
     cfg = _physical(args)
-    ext = MomentumExtension(float(args.ell[0]), float(args.ell[1]))
+    ext = _extension(args)
     meta = _echo_common(args, cfg)
     meta.update(ell_plus=ext.ell_plus, ell_minus=ext.ell_minus, method=args.method)
 
     if args.method == "continuum":
         k_max = args.k_max or 20.0 * math.pi / cfg.box_length
-        roots = solve_momentum_continuum(cfg, ext, k_max=float(k_max))
-        columns = ["n", "k", "residual", "method"]
-        rows = [
-            [int(roots.labels[i]), roots.real_roots[i], roots.residuals[i], "continuum_root"]
-            for i in range(roots.real_roots.size)
-        ]
+        roots = _checked(solve_momentum_continuum, cfg, ext, k_max=float(k_max))
+        table = {"n": roots.labels, "k": roots.real_roots, "residual": roots.residuals,
+                 "method": np.full(roots.labels.size, "continuum_root")}
     elif args.method in ("lattice-root", "lattice-eig"):
-        grid = _grid(args, cfg)
+        grid = _grid(args.N, cfg)
         roots = solve_momentum_lattice(grid, ext)
-        columns = ["n", "k", "k_hat", "residual", "method"]
-        rows = [
-            [int(roots.labels[i]), roots.real_roots[i], roots.k_hat[i],
-             roots.residuals[i], "lattice_root"]
-            for i in range(roots.real_roots.size)
-        ]
+        table = {"n": roots.labels, "k": roots.real_roots, "k_hat": roots.k_hat,
+                 "residual": roots.residuals, "method": np.full(roots.labels.size, "lattice_root")}
         if args.compare or args.method == "lattice-eig":
             res = eigh_tridiagonal(build_p_r(grid, ext))
             eig, meta["backend"] = res.eigenvalues, res.meta["backend"]
-            columns = columns + ["eig", "agreement"]
             order = np.argsort(roots.k_hat)
             eig_by_root = np.empty_like(eig)
             eig_by_root[order] = eig
-            for i, row in enumerate(rows):
-                row.extend([eig_by_root[i], abs(eig_by_root[i] - roots.k_hat[i])])
+            table.update(eig=eig_by_root, agreement=np.abs(eig_by_root - roots.k_hat))
             meta["compare"] = "k_hat vs eigensolver"
     else:
         raise ConfigError(f"unknown method {args.method!r}")
 
-    _emit(stream, meta, columns, rows, args.format)
+    _emit(stream, meta, table, args.format)
     return 0
 
 
@@ -301,34 +317,30 @@ def cmd_measure(args, stream) -> int:
     robin = _robin(args)
     level = int(args.level)
     cutoff = int(args.cutoff)
-    ext = MomentumExtension(float(args.ell[0]), float(args.ell[1]))
+    ext = _extension(args)
 
-    if args.method == "closed":
-        if robin.is_dirichlet:
-            dist = dirichlet_distribution(cfg, level, cutoff)
-        elif robin == RobinParams.neumann() and level == 0:
-            dist = neumann_ground_distribution(cfg, cutoff)
-        else:
-            raise ConfigError(
-                "closed-form distributions exist for hard walls (level >= 1) and "
-                "the free-end ground state (level 0); use --method quadrature"
-            )
-    elif args.method == "quadrature":
+    if args.method == "quadrature":
+        state = _checked(energy_eigenstate, cfg, robin, level)
+        dist = _checked(general_distribution, cfg, robin, ext, state, cutoff)
+    elif args.method != "closed":
+        raise ConfigError(f"unknown method {args.method!r}")
+    elif robin.is_dirichlet:
+        dist = _checked(dirichlet_distribution, cfg, level, cutoff)
+    elif robin == RobinParams.neumann() and level == 0:
+        dist = _checked(neumann_ground_distribution, cfg, cutoff)
+    else:
+        raise ConfigError(
+            "closed-form distributions exist for hard walls (level >= 1) and "
+            "the free-end ground state (level 0); use --method quadrature"
+        )
+
+    grid = _grid(args.expectation_N, cfg)
+    if args.method != "quadrature":  # quadrature built the state above
         try:
             state = energy_eigenstate(cfg, robin, level)
-            dist = general_distribution(cfg, robin, ext, state, cutoff)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    else:
-        raise ConfigError(f"unknown method {args.method!r}")
-
-    try:
-        if args.method != "quadrature":  # quadrature built the state above
-            state = energy_eigenstate(cfg, robin, level)
-        grid = LatticeGrid(int(args.expectation_N), cfg.box_length)
-        exp_r, exp_i = p_expectations(state, grid, ext)
-    except ValueError:
-        exp_r = exp_i = None  # no closed-form eigenstate (e.g. bound level)
+        except ValueError:
+            state = None  # no closed-form eigenstate (e.g. bound level)
+    exp_r, exp_i = (None, None) if state is None else p_expectations(state, grid, ext)
 
     meta = _echo_common(args, cfg)
     meta.update(
@@ -341,13 +353,8 @@ def cmd_measure(args, stream) -> int:
         meta.update(p_r_expectation=exp_r, p_i_expectation=exp_i,
                     expectation_N=int(args.expectation_N))
 
-    cumulative = np.cumsum(dist.probability)
-    columns = ["n", "k", "probability", "cumulative"]
-    rows = [
-        [int(dist.n[i]), dist.k[i], dist.probability[i], cumulative[i]]
-        for i in range(dist.n.size)
-    ]
-    _emit(stream, meta, columns, rows, args.format)
+    _emit(stream, meta, {"n": dist.n, "k": dist.k, "probability": dist.probability,
+                         "cumulative": np.cumsum(dist.probability)}, args.format)
     return 0
 
 
@@ -369,7 +376,7 @@ def cmd_converge(args, stream) -> int:
             report = converge_energy(cfg, robin, int(args.level), n_list,
                                      boundary=args.boundary)
         elif args.observable == "momentum":
-            ext = MomentumExtension(float(args.ell[0]), float(args.ell[1]))
+            ext = _extension(args)
             report = converge_momentum(cfg, ext, int(args.level), n_list)
         else:
             raise ConfigError(f"unknown observable {args.observable!r}")
@@ -381,11 +388,8 @@ def cmd_converge(args, stream) -> int:
                 fit_residual=report.fit_residual)
     meta.update({k: v for k, v in report.meta.items()})
     spacings = [cfg.box_length / n for n in report.N_list]
-    rows = [
-        [report.N_list[i], spacings[i], report.errors[i]]
-        for i in range(len(report.N_list))
-    ]
-    _emit(stream, meta, ["N", "spacing", "error"], rows, args.format)
+    _emit(stream, meta, {"N": report.N_list, "spacing": spacings, "error": report.errors},
+          args.format)
     return 0
 
 
@@ -400,17 +404,13 @@ FOURIER_DEFAULTS = dict(mass=1.0, length=1.0, level=1, cutoff_K=None,
 def cmd_fourier(args, stream) -> int:
     cfg = _physical(args)
     cutoff = float(args.cutoff_K) if args.cutoff_K else 200.0 * math.pi / cfg.box_length
-    try:
-        fd = fourier_density(cfg, int(args.level), cutoff, kind=args.kind,
-                             num_samples=int(args.samples))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    fd = _checked(fourier_density, cfg, int(args.level), cutoff, kind=args.kind,
+                  num_samples=int(args.samples))
     meta = _echo_common(args, cfg)
     meta.update(kind=args.kind, level=int(args.level), cutoff_K=cutoff,
                 delta_k=fd.delta_k, tail_mass=fd.tail_mass,
                 total_probability=fd.total_mass())
-    rows = [[fd.k[i], fd.density[i]] for i in range(fd.k.size)]
-    _emit(stream, meta, ["k", "density"], rows, args.format)
+    _emit(stream, meta, {"k": fd.k, "density": fd.density}, args.format)
     return 0
 
 

@@ -155,9 +155,9 @@ def _energy_continuum_rhs(k: complex, robin: RobinParams) -> complex:
     return num / den
 
 
-def energy_continuum_residual(cfg: PhysicalConfig, robin: RobinParams, k: complex) -> float:
-    L = cfg.box_length
-    return abs(cmath.exp(2j * k * L) - _energy_continuum_rhs(k, robin))
+def energy_continuum_residual(cfg: PhysicalConfig, robin: RobinParams, k):
+    """|exp(2ikL) - rhs(k)| at each root k (a number or an array)."""
+    return np.abs(np.exp(2j * k * cfg.box_length) - _energy_continuum_rhs(k, robin))
 
 
 def _degeneracy(robin: RobinParams, length: float) -> float:
@@ -216,9 +216,7 @@ def solve_energy_continuum(cfg: PhysicalConfig, robin: RobinParams, k_max: float
     energies = real_roots**2 / (2.0 * cfg.mass)
     # the zero mode is appended from its own degeneracy condition, so its
     # residual is zero by construction (the k > 0 form degenerates there)
-    residuals = np.array(
-        [0.0] * len(zero) + [energy_continuum_residual(cfg, robin, k) for k in roots]
-    )
+    residuals = np.concatenate([np.zeros(len(zero)), energy_continuum_residual(cfg, robin, roots)])
 
     _check_residuals(residuals, "energy_continuum")
     first = 1 if robin.is_dirichlet else 0
@@ -296,10 +294,10 @@ def _energy_lattice_rhs(k, grid: LatticeGrid, cfg: PhysicalConfig, robin: RobinP
     return out
 
 
-def energy_lattice_residual(grid: LatticeGrid, cfg: PhysicalConfig, robin: RobinParams, k: float) -> float:
-    L = grid.box_length
-    a = grid.spacing
-    return abs(cmath.exp(2j * k * (L - a)) - complex(_energy_lattice_rhs(k, grid, cfg, robin)))
+def energy_lattice_residual(grid: LatticeGrid, cfg: PhysicalConfig, robin: RobinParams, k):
+    """|exp(2ik(L - a)) - rhs(k)| at each root k (a number or an array)."""
+    phase = np.exp(2j * k * (grid.box_length - grid.spacing))
+    return np.abs(phase - _energy_lattice_rhs(k, grid, cfg, robin))
 
 
 def lattice_dispersion_energy(grid: LatticeGrid, cfg: PhysicalConfig, k):
@@ -361,9 +359,7 @@ def solve_energy_lattice(
     zero = [0.0] if _degeneracy(robin, L - a) == 0.0 else []
     real_roots = np.concatenate([zero, roots])
     energies = lattice_dispersion_energy(grid, cfg, real_roots)
-    residuals = np.array(
-        [0.0] * len(zero) + [energy_lattice_residual(grid, cfg, robin, k) for k in roots]
-    )
+    residuals = np.concatenate([np.zeros(len(zero)), energy_lattice_residual(grid, cfg, robin, roots)])
     _check_residuals(residuals, "energy_lattice")
     labels = np.arange(real_roots.size)
     return RootSet(
@@ -385,8 +381,9 @@ def _momentum_continuum_rhs(ext: MomentumExtension) -> complex:
     return (1.0 + lp) * (1.0 - lm) / ((1.0 - lp) * (1.0 + lm))
 
 
-def momentum_continuum_residual(cfg: PhysicalConfig, ext: MomentumExtension, k: float) -> float:
-    return abs(cmath.exp(2j * k * cfg.box_length) - _momentum_continuum_rhs(ext))
+def momentum_continuum_residual(cfg: PhysicalConfig, ext: MomentumExtension, k):
+    """|exp(2ikL) - rhs| at each root k (a number or an array)."""
+    return np.abs(np.exp(2j * k * cfg.box_length) - _momentum_continuum_rhs(ext))
 
 
 def solve_momentum_continuum(cfg: PhysicalConfig, ext: MomentumExtension, k_max: float | None = None) -> RootSet:
@@ -409,7 +406,7 @@ def solve_momentum_continuum(cfg: PhysicalConfig, ext: MomentumExtension, k_max:
     roots = (theta + 2.0 * math.pi * labels) / (2.0 * L)
     keep = roots > -k_max
     roots, labels = roots[keep], labels[keep]
-    residuals = np.array([momentum_continuum_residual(cfg, ext, k) for k in roots])
+    residuals = momentum_continuum_residual(cfg, ext, roots)
     _check_residuals(residuals, "momentum_continuum")
     return RootSet(
         kind="momentum_continuum",
@@ -431,9 +428,9 @@ def _momentum_lattice_rhs(k, grid: LatticeGrid, ext: MomentumExtension):
     return (1.0 + lp * z) * (1.0 - lm * z) / ((z - lp) * (z + lm))
 
 
-def momentum_lattice_residual(grid: LatticeGrid, ext: MomentumExtension, k: float) -> float:
-    L = grid.box_length
-    return abs(cmath.exp(2j * k * L) - complex(_momentum_lattice_rhs(k, grid, ext)))
+def momentum_lattice_residual(grid: LatticeGrid, ext: MomentumExtension, k):
+    """|exp(2ikL) - rhs(k)| at each root k (a number or an array)."""
+    return np.abs(np.exp(2j * k * grid.box_length) - _momentum_lattice_rhs(k, grid, ext))
 
 
 def solve_momentum_lattice(grid: LatticeGrid, ext: MomentumExtension) -> RootSet:
@@ -474,7 +471,7 @@ def solve_momentum_lattice(grid: LatticeGrid, ext: MomentumExtension) -> RootSet
             f"found {roots.size} lattice momentum roots, expected {n_sites}; "
             "extension parameters with |ell| > 1 push states off the real window"
         )
-    residuals = np.array([momentum_lattice_residual(grid, ext, k) for k in roots])
+    residuals = momentum_lattice_residual(grid, ext, roots)
     _check_residuals(residuals, "momentum_lattice")
     k_hat = np.sin(roots * a) / a
     return RootSet(

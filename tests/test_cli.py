@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from pibox.cli import main
+import pibox.cli
+from pibox.cli import _emit, _fmt, _jsonable, main
 
 
 def run_cli(args, tmp_path=None):
@@ -270,3 +274,85 @@ def test_measure_quadrature_builds_the_eigenstate_once(monkeypatch):
     code, _ = run_cli(["measure", "--gamma", "2", "2", "--level", "0", "--method", "quadrature",
                        "--cutoff", "24"])
     assert code == 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["spectrum", "--gamma", "nan", "2"], None),
+    (["spectrum"], '{"gamma": [-1e999, 3]}'),
+    (["momentum", "--ell", "nan", "1"], None),
+    (["momentum", "--ell", "inf", "1"], None),
+    (["measure", "--method", "quadrature", "--gamma", "2", "2", "--ell", "1", "nan"], None),
+    (["measure", "--bc", "dirichlet", "--cutoff", "-1"], None),
+    (["measure", "--bc", "neumann", "--level", "0", "--cutoff", "-3"], None),
+    (["spectrum", "--levels", "3", "--k-max", "-2"], None),
+    (["measure", "--bc", "dirichlet", "--expectation-N", "4"], None),
+])
+def test_bad_numeric_input_is_a_configuration_error(argv, config, tmp_path, capsys):
+    if config is not None:
+        (tmp_path / "run.json").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "run.json")]
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and out == ""
+    assert len(err) == 1 and err[0].startswith("pibox: configuration error: ")
+
+
+def reference_emit(stream, meta, columns, rows, fmt):
+    """The row-by-row writer the column writer replaced, kept as its oracle."""
+    if fmt == "json":
+        data = [dict(zip(columns, (_jsonable(v) for v in row))) for row in rows]
+        obj = {"meta": {k: _jsonable(v) for k, v in meta.items()}, "data": data}
+        stream.write(json.dumps(obj, indent=2))
+        stream.write("\n")
+        return
+    for key, value in meta.items():
+        stream.write(f"# {key} = {_fmt(value)}\n")
+    stream.write(",".join(columns) + "\n")
+    for row in rows:
+        stream.write(",".join("" if v is None else _fmt(v) for v in row) + "\n")
+
+
+def rendered(writer, *args):
+    buf = io.StringIO()
+    writer(buf, *args)
+    return buf.getvalue()
+
+
+META = {"command": "measure", "mass": 1.0, "seed": 0, "delta_k": math.inf, "tail": 5e-324}
+FLOAT = hnp.arrays(np.float64, 50, elements=st.floats(width=64))
+INT = hnp.arrays(np.int64, 50)
+OPTIONAL = st.lists(st.none() | st.floats(width=64), min_size=50, max_size=50)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_rows=st.integers(0, 50), kinds=st.lists(st.sampled_from("fion"), max_size=6),
+       data=st.data(), fmt=st.sampled_from(["csv", "json"]))
+def test_column_writer_matches_the_row_writer(n_rows, kinds, data, fmt):
+    # float64 (inf, nan, -0.0, subnormals), int64, None-or-float and constant string columns
+    draw = {"f": FLOAT, "i": INT, "o": OPTIONAL}
+    table = {"n": np.arange(n_rows)}
+    for j, kind in enumerate(kinds):
+        table[f"c{j}"] = (np.full(n_rows, "lattice_root") if kind == "n"
+                          else data.draw(draw[kind])[:n_rows])
+    rows = [[col[i] for col in table.values()] for i in range(n_rows)]
+    assert rendered(_emit, META, table, fmt) == rendered(reference_emit, META, list(table), rows, fmt)
+
+
+@pytest.mark.parametrize("argv, maker, columns, rows_of", [
+    (["measure", "--bc", "dirichlet", "--level", "1"], "dirichlet_distribution",
+     ["n", "k", "probability", "cumulative"],
+     lambda d: [[int(n), k, p, c] for n, k, p, c in
+                zip(d.n, d.k, d.probability, np.cumsum(d.probability))]),
+    (["fourier", "--kind", "neumann"], "fourier_density", ["k", "density"],
+     lambda fd: [list(row) for row in zip(fd.k, fd.density)]),
+])
+def test_full_size_tables_match_the_row_writer(argv, maker, columns, rows_of, monkeypatch):
+    seen = {}
+    make, emit = getattr(pibox.cli, maker), pibox.cli._emit
+    monkeypatch.setattr(pibox.cli, maker, lambda *a, **k: seen.setdefault("result", make(*a, **k)))
+    monkeypatch.setattr(pibox.cli, "_emit", lambda s, meta, *a: emit(s, seen.setdefault("meta", meta), *a))
+    code, out = run_cli(argv)
+    assert code == 0
+    rows = rows_of(seen["result"])
+    assert len(rows) >= 2001
+    assert out == rendered(reference_emit, seen["meta"], columns, rows, "csv")

@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 
@@ -20,7 +21,14 @@ from pibox import (
     solve_momentum_continuum,
     solve_momentum_lattice,
 )
-from pibox.quantization import _bisect, _phase_roots
+from pibox.quantization import (
+    _bisect,
+    _energy_continuum_rhs,
+    _energy_lattice_rhs,
+    _momentum_continuum_rhs,
+    _momentum_lattice_rhs,
+    _phase_roots,
+)
 
 # two boundary-bound roots for gamma = -5 on both walls, L = 1
 # (roots of exp(-k)(k+5) = -+(k-5), frozen at high precision)
@@ -430,3 +438,27 @@ def test_bound_scan_memory_does_not_grow_with_the_coupling(cfg):
         tracemalloc.stop()
     assert np.array_equal(roots.bound_roots, [1e4, 1e4 - 1])
     assert peak < 2_000_000
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_sites=st.integers(2, 100).map(lambda j: 2 * j + 1), gp=st.floats(0.1, 100.0),
+       gm=st.floats(0.1, 100.0), ell_p=ells, ell_m=ells)
+def test_vectorized_residuals_match_the_per_root_reference(n_sites, gp, gm, ell_p, ell_m):
+    # the per-root cmath forms the array expressions replaced; np.exp and the
+    # array arithmetic may round differently, by a few ulps of the unit modulus
+    cfg, grid = PhysicalConfig(1.0, 1.3), LatticeGrid(n_sites, 1.3)
+    robin, ext = RobinParams(gp, gm), MomentumExtension(ell_p, ell_m)
+    L, a = grid.box_length, grid.spacing
+    cases = [
+        (solve_energy_continuum(cfg, robin, k_max=40.0),
+         lambda k: abs(cmath.exp(2j * k * L) - _energy_continuum_rhs(k, robin))),
+        (solve_energy_lattice(grid, cfg, robin),
+         lambda k: abs(cmath.exp(2j * k * (L - a)) - complex(_energy_lattice_rhs(k, grid, cfg, robin)))),
+        (solve_momentum_continuum(cfg, ext),
+         lambda k: abs(cmath.exp(2j * k * L) - _momentum_continuum_rhs(ext))),
+        (solve_momentum_lattice(grid, ext),
+         lambda k: abs(cmath.exp(2j * k * L) - complex(_momentum_lattice_rhs(k, grid, ext)))),
+    ]
+    for roots, reference in cases:
+        want = [reference(k) for k in roots.real_roots]  # positive couplings: no zero mode
+        assert np.allclose(roots.residuals, want, rtol=0.0, atol=2.0 * np.finfo(float).eps)
