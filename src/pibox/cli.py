@@ -214,7 +214,7 @@ def cmd_spectrum(args, stream) -> int:
                 "residual": residual[:n], "method": np.full(n, method)}
 
     def continuum_table():
-        k_max = args.k_max or (levels + 2) * math.pi / cfg.box_length
+        k_max = (levels + 2) * math.pi / cfg.box_length if args.k_max is None else args.k_max
         roots = _checked(solve_energy_continuum, cfg, robin, k_max=float(k_max))
         cols = roots.labels, roots.real_roots, roots.energies, roots.residuals
         if args.bound_states and roots.bound_roots is not None:
@@ -280,7 +280,7 @@ def cmd_momentum(args, stream) -> int:
     meta.update(ell_plus=ext.ell_plus, ell_minus=ext.ell_minus, method=args.method)
 
     if args.method == "continuum":
-        k_max = args.k_max or 20.0 * math.pi / cfg.box_length
+        k_max = 20.0 * math.pi / cfg.box_length if args.k_max is None else args.k_max
         roots = _checked(solve_momentum_continuum, cfg, ext, k_max=float(k_max))
         table = {"n": roots.labels, "k": roots.real_roots, "residual": roots.residuals,
                  "method": np.full(roots.labels.size, "continuum_root")}
@@ -403,7 +403,7 @@ FOURIER_DEFAULTS = dict(mass=1.0, length=1.0, level=1, cutoff_K=None,
 
 def cmd_fourier(args, stream) -> int:
     cfg = _physical(args)
-    cutoff = float(args.cutoff_K) if args.cutoff_K else 200.0 * math.pi / cfg.box_length
+    cutoff = 200.0 * math.pi / cfg.box_length if args.cutoff_K is None else float(args.cutoff_K)
     fd = _checked(fourier_density, cfg, int(args.level), cutoff, kind=args.kind,
                   num_samples=int(args.samples))
     meta = _echo_common(args, cfg)

@@ -13,10 +13,11 @@ condition) avoids spurious roots and gives clean bracketing:
 * momentum, lattice:  F(k) = 2k(L-a) + 2*atan2(sin(ka) - ell+, cos(ka))
                       + 2*atan2(sin(ka) + ell-, cos(ka))
 
-Lattice momentum roots live in the half zone |k| < pi/(2a), where the
-dispersion k_hat = sin(ka)/a is injective, so eigenvalues and roots are
-in one-to-one correspondence.  Negative Robin couplings additionally
-support boundary-localized states with k = i*kappa and E = -kappa^2/2m,
+Each phase is scanned on one uniform grid of spacing pi/(20L), and the
+lattice root counts are checked.  Lattice momentum roots live in the half
+zone |k| < pi/(2a), where the dispersion k_hat = sin(ka)/a is injective,
+so eigenvalues and roots are in one-to-one correspondence.  Negative
+Robin couplings additionally support boundary-localized states with k = i*kappa and E = -kappa^2/2m,
 found by scanning the real continuation of the condition.
 """
 
@@ -28,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import LatticeGrid, MomentumExtension, PhysicalConfig, RobinParams
+from .eigensolver import sturm_count
+from .lattice import LatticeGrid, MomentumExtension, PhysicalConfig, RobinParams, build_hamiltonian
 
 __all__ = [
     "RootSet",
@@ -306,27 +308,19 @@ def lattice_dispersion_energy(grid: LatticeGrid, cfg: PhysicalConfig, k):
     return (2.0 / a * np.sin(0.5 * k * a)) ** 2 / (2.0 * cfg.mass)
 
 
-def solve_energy_lattice(
-    grid: LatticeGrid,
-    cfg: PhysicalConfig,
-    robin: RobinParams,
-    k_max: float | None = None,
-) -> RootSet:
+def solve_energy_lattice(grid: LatticeGrid, cfg: PhysicalConfig, robin: RobinParams) -> RootSet:
     """Real-k roots of the lattice energy quantization condition.
 
     Requires finite Robin couplings (the hard-wall limit is covered by
     the ghost-stencil Hamiltonian and the eigensolver instead).  Energies
-    attach through the lattice dispersion, and the root count never
-    exceeds the number of sites.
+    attach through the lattice dispersion, and the root count is checked
+    against the Sturm count of the in-band levels of H.
     """
     if robin.dirichlet_plus or robin.dirichlet_minus:
         raise ValueError("lattice energy condition needs finite Robin couplings")
     a = grid.spacing
     L = grid.box_length
     zone_edge = math.pi / a
-    if k_max is None:
-        k_max = zone_edge
-    k_max = min(k_max, zone_edge)
 
     def phase(k):
         s = np.sin(k * a) / a
@@ -340,20 +334,12 @@ def solve_energy_lattice(
     # the phase function touches the level 2*pi*(N+1) exactly at the zone
     # edge without crossing it; scan strictly inside to keep that spurious
     # grazing contact out of the bracketing
-    k_hi = k_max - 1e-9 * zone_edge
+    k_hi = zone_edge - 1e-9 * zone_edge
     resolution = math.pi / (20.0 * L)
-    coarse = np.linspace(0.0, k_hi, int(math.ceil(k_hi / resolution)) + 1)
-    # refine near the zone edge, where the phase branch turns over fastest
-    edge_zone = min(2.0 * math.pi / L, k_hi)
-    fine = np.linspace(k_hi - edge_zone, k_hi, int(math.ceil(edge_zone / (resolution * a / L))) + 1)
-    k_grid = np.unique(np.concatenate([coarse, fine]))
+    k_grid = np.linspace(0.0, k_hi, int(math.ceil(k_hi / resolution)) + 1)
     roots, _ = _phase_roots(phase, k_grid, _phase_slope0(robin, L - a))
     roots = [k for k in roots if k > 1e-9 * math.pi / L]
     roots, _ = _dedupe(roots, list(range(len(roots))), _DEDUP_TOL)
-    if roots.size > grid.num_sites:
-        raise RootScanError(
-            f"{roots.size} lattice energy roots exceed the {grid.num_sites}-site spectrum"
-        )
 
     # the lattice zero mode is linear between the corner sites, L - a apart
     zero = [0.0] if _degeneracy(robin, L - a) == 0.0 else []
@@ -361,6 +347,19 @@ def solve_energy_lattice(
     energies = lattice_dispersion_energy(grid, cfg, real_roots)
     residuals = np.concatenate([np.zeros(len(zero)), energy_lattice_residual(grid, cfg, robin, roots)])
     _check_residuals(residuals, "energy_lattice")
+    # one root per level of H in the band, by Sturm counts (not LAPACK, which
+    # --compare checks against): a level within d of the band top is on the
+    # zone edge, outside the scan; one within d of E = 0 may round either way
+    top = (2.0 / a) ** 2 / (2.0 * cfg.mass)
+    d = 1e-14 * top
+    h = build_hamiltonian(grid, cfg, robin)
+    below_top = sturm_count(h, top + d)
+    fewest, most = below_top - sturm_count(h, d), below_top - sturm_count(h, -d)
+    if not fewest <= real_roots.size <= most:
+        raise RootScanError(
+            f"found {real_roots.size} lattice energy roots where H has {most} levels in "
+            f"[0, {top}]; a level on the zone edge k = pi/a is outside the open scan window"
+        )
     labels = np.arange(real_roots.size)
     return RootSet(
         kind="energy_lattice",
@@ -368,7 +367,7 @@ def solve_energy_lattice(
         labels=labels,
         residuals=residuals,
         energies=energies,
-        meta={"k_max": k_max, "scan_resolution": resolution, "first_label": 0},
+        meta={"k_max": zone_edge, "scan_resolution": resolution, "first_label": 0},
     )
 
 
@@ -396,6 +395,8 @@ def solve_momentum_continuum(cfg: PhysicalConfig, ext: MomentumExtension, k_max:
     L = cfg.box_length
     if k_max is None:
         k_max = 20.0 * math.pi / L
+    if k_max <= 0:
+        raise ValueError("k_max must be positive")
     rhs = _momentum_continuum_rhs(ext)
     if abs(abs(rhs) - 1.0) > 1e-14:
         raise RootScanError(f"condition right-hand side has modulus {abs(rhs)}, expected 1")
@@ -438,9 +439,10 @@ def solve_momentum_lattice(grid: LatticeGrid, ext: MomentumExtension) -> RootSet
     their phase level, together with the physical eigenvalues
     k_hat = sin(ka)/a.
 
-    Raises RootScanError when fewer than N real roots exist there (for
-    |ell| > 1 part of the spectrum moves to complex k, i.e. eigenvectors
-    localized at the walls).
+    Raises RootScanError when fewer than N real roots exist there: for
+    |ell| > 1 part of the spectrum moves to complex k (eigenvectors
+    localized at the walls), and at |ell| = 1 a level can sit on the zone
+    edge, where the reduced condition holds for every ell.
     """
     a = grid.spacing
     L = grid.box_length
@@ -457,19 +459,16 @@ def solve_momentum_lattice(grid: LatticeGrid, ext: MomentumExtension) -> RootSet
 
     resolution = math.pi / (20.0 * L)
     margin = 1e-9 * edge
-    coarse = np.linspace(-edge + margin, edge - margin, 2 * int(math.ceil(edge / resolution)) + 1)
-    fine_width = min(2.0 * math.pi / L, edge)
-    fine_res = resolution * a / L
-    fine_hi = np.linspace(edge - fine_width, edge - margin, int(math.ceil(fine_width / fine_res)) + 1)
-    fine_lo = -fine_hi[::-1]
-    k_grid = np.unique(np.concatenate([coarse, fine_lo, fine_hi]))
+    # for |ell| <= 1 the phase increases strictly: any grid brackets each level once
+    k_grid = np.linspace(-edge + margin, edge - margin, 2 * int(math.ceil(edge / resolution)) + 1)
 
     roots, labels = _phase_roots(phase, k_grid)
     roots, labels = _dedupe(roots, labels, _DEDUP_TOL)
     if roots.size != n_sites:
         raise RootScanError(
             f"found {roots.size} lattice momentum roots, expected {n_sites}; "
-            "extension parameters with |ell| > 1 push states off the real window"
+            f"the missing states lie on or beyond the zone edge |k| = pi/(2a) = {edge}, "
+            "where |k_hat| = 1/a"
         )
     residuals = momentum_lattice_residual(grid, ext, roots)
     _check_residuals(residuals, "momentum_lattice")

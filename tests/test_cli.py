@@ -92,6 +92,20 @@ def test_momentum_lattice_failure_exit_code():
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    # gamma = 2/a on both walls: a level exactly at the band top
+    ["spectrum", "--method", "lattice-root", "--N", "5", "--gamma", "10", "10", "--levels", "5"],
+    # |ell| = 1: the ninth eigenvalue of p_R is exactly 1/a, k on the zone edge
+    ["momentum", "--N", "9", "--ell", "1", "-1"],
+])
+def test_level_on_the_zone_edge_is_a_numerical_failure(argv, capsys):
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 3 and out == ""
+    assert len(err) == 1 and err[0].startswith("pibox: numerical failure: ")
+    assert "zone edge" in err[0] and "|ell| > 1" not in err[0]
+
+
 def test_momentum_compare():
     code, out = run_cli(["momentum", "--N", "9", "--compare"])
     assert code == 0
@@ -286,6 +300,10 @@ def test_measure_quadrature_builds_the_eigenstate_once(monkeypatch):
     (["measure", "--bc", "neumann", "--level", "0", "--cutoff", "-3"], None),
     (["spectrum", "--levels", "3", "--k-max", "-2"], None),
     (["measure", "--bc", "dirichlet", "--expectation-N", "4"], None),
+    (["momentum", "--method", "continuum", "--k-max", "-2"], None),
+    (["momentum", "--method", "continuum", "--k-max", "0"], None),
+    (["spectrum", "--k-max", "0"], None),
+    (["fourier", "--cutoff-K", "0"], None),
 ])
 def test_bad_numeric_input_is_a_configuration_error(argv, config, tmp_path, capsys):
     if config is not None:

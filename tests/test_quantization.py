@@ -140,6 +140,25 @@ def test_lattice_energy_continuum_limit(cfg, robin2):
     assert rel.max() <= 1e-4
 
 
+@pytest.mark.parametrize("n_sites, gamma", [(5, 10.0), (3, 6.0)])
+def test_lattice_energy_level_on_the_zone_edge_is_a_scan_error(cfg, n_sites, gamma):
+    # gamma = 2/a on both walls puts a level of H exactly at the band top,
+    # k = pi/a, which the open scan window leaves out
+    with pytest.raises(RootScanError, match="zone edge"):
+        solve_energy_lattice(LatticeGrid(n_sites, 1.0), cfg, RobinParams(gamma, gamma))
+
+
+@pytest.mark.parametrize("n_sites, gp, gm, n_roots", [
+    # the top level of H lies 7e-11 of the band top above it: no real root
+    (759, 1518.000161756964, 1518.0000003146224, 758),
+    # D = -4e-9: a bound state 5e-16 of the band top below E = 0
+    (67, 1655.1445485704744, -1.014529272867658, 65),
+])
+def test_lattice_energy_count_check_spares_levels_just_outside_the_band(cfg, n_sites, gp, gm, n_roots):
+    roots = solve_energy_lattice(LatticeGrid(n_sites, 1.0), cfg, RobinParams(gp, gm))
+    assert roots.real_roots.size == n_roots
+
+
 def test_lattice_energy_rejects_hard_walls(cfg):
     with pytest.raises(ValueError):
         solve_energy_lattice(LatticeGrid(9, 1.0), cfg, RobinParams.dirichlet())
@@ -318,6 +337,9 @@ def test_phase_roots_exact_zero_at_a_grid_point():
 
 @settings(max_examples=60, deadline=None)
 @given(n_sites=odd_sizes, ell_p=ells, ell_m=ells)
+# levels near the zone edge |k| = pi/(2a)
+@example(n_sites=301, ell_p=0.99, ell_m=-0.99)
+@example(n_sites=3, ell_p=0.99, ell_m=0.5)
 def test_momentum_lattice_has_n_roots_matching_eigenvalues(n_sites, ell_p, ell_m):
     grid = LatticeGrid(n_sites, 1.0)
     ext = MomentumExtension(ell_p, ell_m)
@@ -341,6 +363,12 @@ finite_couplings = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-2.0, 2.0))
 @example(n_sites=3, gp=-1.0, gm=-1.0, length=2.0)
 # ... and one here
 @example(n_sites=3, gp=-1.0, gm=-1.0, length=3.0)
+# levels near the zone edge k = pi/a: one wall at gamma a = 2, and strong
+# or equal couplings
+@example(n_sites=51, gp=102.0, gm=3.0, length=1.0)
+@example(n_sites=301, gp=602.0, gm=-0.5, length=1.0)
+@example(n_sites=9, gp=1e4, gm=-1e4, length=1.0)
+@example(n_sites=99, gp=99.0, gm=99.0, length=1.0)
 def test_lattice_energy_roots_are_the_in_band_eigenvalues(n_sites, gp, gm, length):
     cfg = PhysicalConfig(1.0, length)
     grid = LatticeGrid(n_sites, length)
