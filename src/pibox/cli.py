@@ -3,8 +3,9 @@
 Verbs: spectrum, momentum, measure, converge, fourier, selfcheck.
 Results go to stdout (or --output) as CSV with '#'-prefixed metadata
 lines, or as a single JSON object {"meta": ..., "data": ...}.  Tables are
-columns (name -> array); the CSV body is one '%d'/'%.17g'/'%s' row template
-applied to all rows in a single write.  All output is deterministic for a
+columns (name -> array); the CSV body is one '%d'/'%.17g'/'%s' row template,
+with the text of one-valued columns written in, applied to all rows in a
+single write.  All output is deterministic for a
 fixed configuration and seed: floats are printed with 17 significant
 digits and no timestamps are emitted.
 
@@ -14,6 +15,7 @@ Exit codes: 0 ok, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -81,6 +83,16 @@ def _jsonable(value):
 _FIELDS = {"i": "%d", "u": "%d", "f": "%.17g"}  # by dtype kind; "%.17g" % x == _fmt(x)
 
 
+def _field(col: np.ndarray) -> str | None:
+    """Row-template text of a column with one value: the %-escaped string of a
+    string column, '' for all None; None for a column written cell by cell."""
+    if col.dtype.kind == "U" and col.size and (col == col[0]).all():
+        return str(col[0]).replace("%", "%%")
+    if col.dtype.kind == "O" and (col == None).all():  # noqa: E711 (elementwise)
+        return ""
+    return None
+
+
 def _cells(col: np.ndarray, fmt: str) -> list:
     """One column's values as the writer takes them: Python numbers for
     integer and float arrays, each cell through _jsonable or _fmt otherwise
@@ -100,8 +112,8 @@ def _emit(stream, meta: dict, table: dict, fmt: str):
     """Write ``table`` (column name -> equal-length column) with ``meta``:
     JSON rows, or '#' meta lines, a header and the CSV body in one write."""
     cols = [np.asarray(c) for c in table.values()]
-    cells = [_cells(c, fmt) for c in cols]
     if fmt == "json":
+        cells = [_cells(c, fmt) for c in cols]
         data = [dict(zip(table, row)) for row in zip(*cells)]
         obj = {"meta": {k: _jsonable(v) for k, v in meta.items()}, "data": data}
         stream.write(json.dumps(obj, indent=2))
@@ -110,7 +122,10 @@ def _emit(stream, meta: dict, table: dict, fmt: str):
     for key, value in meta.items():
         stream.write(f"# {key} = {_fmt(value)}\n")
     stream.write(",".join(table) + "\n")
-    row = ",".join(_FIELDS.get(c.dtype.kind, "%s") for c in cols) + "\n"
+    fixed = [_field(c) for c in cols]
+    cells = [_cells(c, fmt) for c, text in zip(cols, fixed) if text is None]
+    row = ",".join(_FIELDS.get(c.dtype.kind, "%s") if text is None else text
+                   for c, text in zip(cols, fixed)) + "\n"
     stream.write((row * len(cols[0])) % tuple(itertools.chain.from_iterable(zip(*cells))))
 
 
@@ -193,8 +208,10 @@ SPECTRUM_DEFAULTS = dict(mass=1.0, length=1.0, levels=10, N=99, method="continuu
 
 
 def _dispersion_wavenumber(E, grid, cfg):
-    s = 0.5 * grid.spacing * math.sqrt(2.0 * cfg.mass * max(E, 0.0))
-    return (2.0 / grid.spacing) * math.asin(min(1.0, s))
+    """Wavenumbers of the lattice eigenvalue array E, inverting E = (2/a sin(ka/2))^2 / 2m."""
+    s = 0.5 * grid.spacing * np.sqrt(2.0 * cfg.mass * np.where(E < 0.0, 0.0, E))
+    # libm asin per value: np.arcsin differs from it by up to 1.6 ulp
+    return (2.0 / grid.spacing) * np.array([math.asin(x) for x in np.minimum(1.0, s).tolist()])
 
 
 def cmd_spectrum(args, stream) -> int:
@@ -225,7 +242,7 @@ def cmd_spectrum(args, stream) -> int:
         return table("continuum_root", *cols)
 
     def lattice_root_table(grid):
-        roots = solve_energy_lattice(grid, cfg, robin)
+        roots = _checked(solve_energy_lattice, grid, cfg, robin)
         return table("lattice_root", roots.labels, roots.real_roots, roots.energies,
                      roots.residuals)
 
@@ -235,7 +252,7 @@ def cmd_spectrum(args, stream) -> int:
         res = eigh_tridiagonal(h, select=(0, sel_hi))
         meta["backend"] = res.meta["backend"]
         first = 1 if robin.is_dirichlet else 0
-        k = np.array([_dispersion_wavenumber(lam, grid, cfg) for lam in res.eigenvalues])
+        k = _dispersion_wavenumber(res.eigenvalues, grid, cfg)
         return table("lattice_eig", first + np.arange(k.size), k, res.eigenvalues)
 
     if args.compare:
@@ -513,6 +530,7 @@ def cmd_selfcheck(args, stream) -> int:
 # parser / dispatch
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process; parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pibox",

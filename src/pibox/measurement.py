@@ -4,8 +4,8 @@ For equal extension parameters the quantized outcomes are k = pi*n/L.
 Box and momentum eigenstates are both sums of two exponentials, so
 ``general_distribution`` gives every outcome probability in closed form
 (two sincs); the hard-wall and Neumann-ground laws have their own
-rational forms.  Truncated sums carry their analytic tails
-(digamma/trigamma series remainders) instead of being renormalized, so
+rational forms.  Truncated sums carry their analytic tails (digamma,
+trigamma or Hurwitz-zeta series remainders) instead of being renormalized, so
 normalization defects stay visible.  ``fourier_density`` gives the
 contrasting unquantized (whole-line Fourier) momentum density.
 """
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import polygamma, psi, zeta
 
 from .continuum import EnergyEigenstate, _cospi, _sinpi, sample_scalar_on_grid
 from .continuum import momentum_eigenstate  # noqa: F401  (unused; perfbench/spans.py wraps it here)
@@ -94,6 +93,8 @@ def _odd_series_tails(j_min: float, l: float):
         S2b = sum_j 1/(j+2l)^2          = psi'(j_min/2 + l)/4
         S1  = sum_j [1/j - 1/(j+2l)]    = [psi(j_min/2+l) - psi(j_min/2)]/2
     """
+    from scipy.special import polygamma, psi  # deferred: it would be most of `import pibox`
+
     half = 0.5 * j_min
     s2a = 0.25 * float(polygamma(1, half))
     s2b = 0.25 * float(polygamma(1, half + l))
@@ -125,7 +126,15 @@ def dirichlet_distribution(cfg: PhysicalConfig, l: int, cutoff_n: int = 10_000) 
     if j_min % 2 == 0:
         j_min += 1
     s2a, s2b, s1 = _odd_series_tails(j_min, l)
-    tail = 2.0 * (4.0 / math.pi**2) * (0.25 * (s2a + s2b) - s1 / (4.0 * l))
+    n0 = j_min + l  # first tail outcome
+    if l <= n0 / 4:  # 1/(n^2-l^2)^2 as a power series in l^2/n^2: s2a + s2b and s1 cancel
+        from scipy.special import zeta
+
+        m = np.arange(16)
+        tail = (0.5 / math.pi**2) * l**2 * float(
+            zeta(2.0 * m + 4.0, 0.5 * n0) @ ((m + 1) * (0.5 * l) ** (2 * m)))
+    else:
+        tail = 2.0 * (4.0 / math.pi**2) * (0.25 * (s2a + s2b) - s1 / (4.0 * l))
     k2_tail = 2.0 * (4.0 * l**2 / L**2) * (0.25 * (s2a + s2b) + s1 / (4.0 * l))
 
     return MomentumDistribution(
@@ -144,6 +153,8 @@ def neumann_ground_distribution(cfg: PhysicalConfig, cutoff_n: int = 10_000) -> 
     """Distribution in the free-end ground state: probability 1/2 at
     k = 0 and 2/(pi^2 n^2) for odd n.  The second moment diverges, so
     delta_k is flagged infinite."""
+    from scipy.special import polygamma
+
     if cutoff_n < 1:
         raise ValueError("cutoff_n must be at least 1")
     L = cfg.box_length
@@ -207,6 +218,8 @@ def general_distribution(
         if t > n0 / 4:  # cross = sum 1/(n^2 - t^2)
             cross = s1 / (2.0 * t)
         else:  # as a power series in t, without the cancellation in s1
+            from scipy.special import zeta
+
             m = np.arange(16)
             cross = 0.25 * float(zeta(2.0 * m + 2.0, 0.5 * n0) @ (0.5 * t) ** (2 * m))
         tail += (2.0 * L / math.pi**2) * float(trig) ** 2 * (

@@ -343,15 +343,20 @@ OPTIONAL = st.lists(st.none() | st.floats(width=64), min_size=50, max_size=50)
 
 
 @settings(max_examples=200, deadline=None)
-@given(n_rows=st.integers(0, 50), kinds=st.lists(st.sampled_from("fion"), max_size=6),
+@given(n_rows=st.integers(0, 50), kinds=st.lists(st.sampled_from("fionx"), max_size=6),
        data=st.data(), fmt=st.sampled_from(["csv", "json"]))
 def test_column_writer_matches_the_row_writer(n_rows, kinds, data, fmt):
-    # float64 (inf, nan, -0.0, subnormals), int64, None-or-float and constant string columns
+    # float64 (inf, nan, -0.0, subnormals), int64, None-or-float, constant string
+    # (a literal in the CSV row template, '%' escaped) and all-None columns
     draw = {"f": FLOAT, "i": INT, "o": OPTIONAL}
     table = {"n": np.arange(n_rows)}
     for j, kind in enumerate(kinds):
-        table[f"c{j}"] = (np.full(n_rows, "lattice_root") if kind == "n"
-                          else data.draw(draw[kind])[:n_rows])
+        if kind == "n":
+            table[f"c{j}"] = np.full(n_rows, data.draw(st.sampled_from(["lattice_root", "50%s"])))
+        elif kind == "x":
+            table[f"c{j}"] = np.full(n_rows, None)
+        else:
+            table[f"c{j}"] = data.draw(draw[kind])[:n_rows]
     rows = [[col[i] for col in table.values()] for i in range(n_rows)]
     assert rendered(_emit, META, table, fmt) == rendered(reference_emit, META, list(table), rows, fmt)
 
@@ -374,3 +379,99 @@ def test_full_size_tables_match_the_row_writer(argv, maker, columns, rows_of, mo
     rows = rows_of(seen["result"])
     assert len(rows) >= 2001
     assert out == rendered(reference_emit, seen["meta"], columns, rows, "csv")
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--method", "lattice-root", "--bc", "dirichlet"],
+    ["spectrum", "--method", "lattice-root", "--gamma", "1", "inf"],
+    ["spectrum", "--method", "lattice-eig", "--compare", "--gamma", "1", "inf", "--N", "11"],
+])
+def test_lattice_roots_with_a_hard_wall_are_a_configuration_error(argv, capsys):
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and out == ""
+    assert err == ["pibox: configuration error: lattice energy condition needs finite Robin couplings"]
+
+
+def test_the_parser_is_built_once_and_left_as_it_was(tmp_path, capsys):
+    assert pibox.cli.build_parser() is pibox.cli.build_parser()
+    argv = ["spectrum", "--bc", "neumann", "--levels", "3"]
+    assert run_cli(argv) == run_cli(argv)
+    # config values fill one run's Namespace only
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"levels": 2, "format": "json", "gamma": [3, 4]}))
+    assert run_cli(["spectrum", "--config", str(config)])[0] == 0
+    code, out = run_cli(["spectrum"])
+    meta, _, rows = parse_csv(out)
+    assert code == 0 and len(rows) == 10
+    assert meta["format"] == "csv" and meta["gamma_plus"] == "inf"
+    # an argv argparse rejects leaves the next run unaffected
+    with pytest.raises(SystemExit):
+        run_cli(["spectrum", "--levels", "many"])
+    capsys.readouterr()
+    assert run_cli(argv) == run_cli(argv)
+
+
+# every verb with its table-shaping options, at sizes that run in milliseconds
+SWEEP = [
+    ["spectrum"],
+    ["spectrum", "--bc", "neumann", "--levels", "4"],
+    ["spectrum", "--gamma", "2.5", "7", "-m", "2", "-L", "3"],
+    ["spectrum", "--gamma", "-5", "-5", "--bound-states", "--levels", "5"],
+    ["spectrum", "--gamma", "2", "2", "--k-max", "30"],
+    ["spectrum", "--method", "lattice-root", "--gamma", "2.5", "7", "--N", "51"],
+    ["spectrum", "--method", "lattice-root", "--gamma", "-5", "-5", "--N", "41", "--levels", "50"],
+    ["spectrum", "--method", "lattice-eig", "--gamma", "2.5", "7", "--N", "301", "--levels", "301"],
+    ["spectrum", "--method", "lattice-eig", "--bc", "dirichlet", "--N", "51", "--levels", "20"],
+    ["spectrum", "--method", "lattice-eig", "--bc", "neumann", "--N", "51", "--levels", "5"],
+    ["spectrum", "--method", "lattice-eig", "--gamma", "2", "-3", "--N", "31", "--boundary", "folded"],
+    ["spectrum", "--compare", "--gamma", "2", "2", "--N", "51"],
+    ["spectrum", "--compare", "--bc", "dirichlet", "--N", "51", "--levels", "6"],
+    ["spectrum", "--compare", "--gamma", "-5", "-5", "--N", "99", "--levels", "12"],
+    ["spectrum", "--compare", "--gamma", "0.3", "50", "--N", "21", "--levels", "30"],
+    ["momentum", "--N", "51"],
+    ["momentum", "--N", "31", "--ell", "0.5", "0.8", "--compare"],
+    ["momentum", "--N", "31", "--ell", "-1", "-1", "--method", "lattice-eig", "-L", "2"],
+    ["momentum", "--method", "continuum"],
+    ["momentum", "--method", "continuum", "--ell", "2", "0.5", "--k-max", "40"],
+    ["measure", "--bc", "dirichlet", "--cutoff", "300"],
+    ["measure", "--bc", "dirichlet", "--level", "3", "-L", "2", "--expectation-N", "99"],
+    ["measure", "--bc", "neumann", "--level", "0", "--cutoff", "200"],
+    ["measure", "--method", "quadrature", "--gamma", "2", "2", "--level", "1", "--cutoff", "100"],
+    ["measure", "--method", "quadrature", "--gamma", "-1", "4", "--level", "1", "--cutoff", "64"],
+    ["measure", "--method", "quadrature", "--bc", "neumann", "--level", "2", "--ell", "0.5", "0.5"],
+    ["converge", "--N-list", "27", "81", "243"],
+    ["converge", "--bc", "neumann", "--level", "2", "--N-list", "27", "81", "243"],
+    ["converge", "--gamma", "2", "2", "--boundary", "folded", "--N-list", "27", "81", "243"],
+    ["converge", "--observable", "momentum", "--ell", "0.5", "0.5", "--N-list", "27", "81", "243"],
+    ["fourier"],
+    ["fourier", "--kind", "neumann", "--samples", "101"],
+    ["fourier", "--level", "2", "--cutoff-K", "700", "--samples", "51", "-m", "3"],
+]
+
+
+def _agrees(text, value):
+    """A CSV field against the JSON value of the same cell."""
+    if value is None:
+        return text == ""
+    if isinstance(value, bool):
+        return text == str(value).lower()
+    if value == "inf":  # JSON spells every infinity "inf"
+        return math.isinf(float(text))
+    if isinstance(value, (int, float)):
+        return float(text) == value or (math.isnan(float(text)) and math.isnan(value))
+    return text == str(value)
+
+
+@pytest.mark.parametrize("argv", SWEEP, ids=" ".join)
+def test_stdout_repeats_and_csv_agrees_with_json(argv):
+    runs = {fmt: [run_cli(argv + ["--format", fmt]) for _ in range(2)] for fmt in ("csv", "json")}
+    for first, second in runs.values():
+        assert first == second and first[0] == 0
+    meta, header, rows = parse_csv(runs["csv"][0][1])
+    doc = json.loads(runs["json"][0][1])
+    assert list(meta) == list(doc["meta"])
+    assert all(_agrees(meta[key], value) for key, value in doc["meta"].items() if key != "format")
+    assert [list(d) for d in doc["data"]] == [header] * len(rows)
+    assert all(_agrees(text, value) for row, d in zip(rows, doc["data"])
+               for text, value in zip(row, d.values()))

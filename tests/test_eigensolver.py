@@ -186,6 +186,15 @@ def test_import_leaves_scipy_linalg_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special is imported by the first tail or zeta series that needs it
+    code = "import sys, pibox, pibox.cli; print('scipy.special' in sys.modules)"
+    src = str(Path(pibox.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 _magnitudes = st.floats(-3.0, 4.0).map(lambda x: 10.0**x)
 _entries = st.one_of(st.just(0.0), st.builds(lambda s, m: s * m, st.sampled_from([-1.0, 1.0]), _magnitudes))
 

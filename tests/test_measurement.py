@@ -88,6 +88,24 @@ def test_dirichlet_tail_is_positive_and_small(cfg):
         dirichlet_distribution(cfg, 0)
 
 
+@pytest.mark.parametrize("l, exact", [(1, 1.35054390073785e-13), (2, 5.40379661223098e-13)])
+def test_dirichlet_tail_at_the_default_cutoff(cfg, l, exact):
+    # exact: the Hurwitz-zeta partial-fraction sum in mpmath; the digamma and
+    # trigamma remainders cancel here to 3-4 correct digits
+    assert dirichlet_distribution(cfg, l).tail_mass == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("l", [1, 2, 5, 10, 11, 15, 39])
+def test_dirichlet_tail_matches_a_brute_force_sum(cfg, l):
+    # l <= 10 takes the zeta power series at cutoff 40, l >= 11 the polygamma form
+    cutoff, stop = 40, 2_000_000
+    n = np.arange(cutoff + 1 if (cutoff + 1 - l) % 2 else cutoff + 2, stop, 2, dtype=float)
+    terms = ((8.0 / math.pi**2) * l**2 / (n**2 - l**2) ** 2).tolist()
+    beyond = (8.0 / math.pi**2) * l**2 / (6.0 * (n[-1] + 2.0) ** 3)  # sum of 1/n^4, n >= stop, step 2
+    brute = math.fsum(terms) + beyond
+    assert dirichlet_distribution(cfg, l, cutoff).tail_mass == pytest.approx(brute, rel=1e-13, abs=0)
+
+
 def test_neumann_ground_distribution(cfg):
     d = neumann_ground_distribution(cfg, cutoff_n=10_000)
     assert prob(d, 0) == 0.5
@@ -145,11 +163,11 @@ def test_general_tail_matches_closed_forms(cfg, ext_i, l):
     hard = general_distribution(cfg, RobinParams.dirichlet(), ext_i,
                                 energy_eigenstate(cfg, RobinParams.dirichlet(), l), cutoff_n=40)
     closed = dirichlet_distribution(cfg, l, cutoff_n=40)
-    assert hard.tail_mass == pytest.approx(closed.tail_mass, rel=1e-12)
+    assert hard.tail_mass == pytest.approx(closed.tail_mass, rel=1e-12, abs=0)
     assert np.max(np.abs(hard.probability - closed.probability)) <= 1e-15
     free = general_distribution(cfg, RobinParams.neumann(), ext_i,
                                 energy_eigenstate(cfg, RobinParams.neumann(), 0), cutoff_n=40)
-    assert free.tail_mass == pytest.approx(neumann_ground_distribution(cfg, 40).tail_mass, rel=1e-12)
+    assert free.tail_mass == pytest.approx(neumann_ground_distribution(cfg, 40).tail_mass, rel=1e-12, abs=0)
 
 
 def test_general_delta_k_finite_only_for_hard_walls(cfg, ext_i, robin2):
