@@ -160,6 +160,20 @@ def _checked(make, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
+#: upper limits of the size options: each outcome or sample is one row of output,
+#: so an unbounded size could exhaust memory.  The cutoff cap is ten times its
+#: default (200001 rows); the samples cap, about fifty times its default of 2001,
+#: stays below that and odd, keeping k = 0 on the sample grid
+_CAPS = {"cutoff": 100_000, "samples": 100_001}
+
+
+def _size(args, name: str) -> int:
+    value = int(getattr(args, name))
+    if value > _CAPS[name]:
+        raise ConfigError(f"--{name} {value} is above its cap {_CAPS[name]}")
+    return value
+
+
 def _physical(args) -> PhysicalConfig:
     return _checked(PhysicalConfig, mass=float(args.mass), box_length=float(args.length))
 
@@ -259,11 +273,11 @@ def cmd_spectrum(args, stream) -> int:
         grid = _grid(args.N, cfg)
         out = lattice_eig_table(grid)
         other = lattice_root_table(grid) if not robin.is_dirichlet else continuum_table()
-        # pair by level: roots start above the lattice bound levels (E < 0; an exact
-        # zero mode may come out of LAPACK a few ulps below 0) and end at the band top
-        band_top = (2.0 / grid.spacing) ** 2 / (2.0 * cfg.mass)
+        # pair by level label: the roots leave out the lattice bound levels below
+        # them (E < 0, or so shallow that LAPACK may put them above 0) and end at
+        # the band top
         E, E_other = out["E"], other["E"]
-        bound = int(np.sum(E < -1e-12 * band_top))
+        bound = int(other["index"][0] - out["index"][0]) if E_other.size else 0
         n = min(E.size - bound, E_other.size)
         out["E_other"], out["agreement"] = np.full(E.size, None), np.full(E.size, None)
         out["E_other"][bound:bound + n] = E_other[:n]
@@ -333,7 +347,7 @@ def cmd_measure(args, stream) -> int:
     cfg = _physical(args)
     robin = _robin(args)
     level = int(args.level)
-    cutoff = int(args.cutoff)
+    cutoff = _size(args, "cutoff")
     ext = _extension(args)
 
     if args.method == "quadrature":
@@ -422,7 +436,7 @@ def cmd_fourier(args, stream) -> int:
     cfg = _physical(args)
     cutoff = 200.0 * math.pi / cfg.box_length if args.cutoff_K is None else float(args.cutoff_K)
     fd = _checked(fourier_density, cfg, int(args.level), cutoff, kind=args.kind,
-                  num_samples=int(args.samples))
+                  num_samples=_size(args, "samples"))
     meta = _echo_common(args, cfg)
     meta.update(kind=args.kind, level=int(args.level), cutoff_K=cutoff,
                 delta_k=fd.delta_k, tail_mass=fd.tail_mass,

@@ -329,17 +329,17 @@ def energy_eigenstate(cfg: PhysicalConfig, robin: RobinParams, l: int) -> Energy
             a, b = -0.5j * amp, 0.5j * amp
             kind = "dirichlet_sin"
         return EnergyEigenstate(l, kind, q * q / (2.0 * cfg.mass), q, a, b, cfg, robin)
+    if l == 0 and robin == RobinParams.neumann():
+        amp = 0.5 / math.sqrt(L)  # constant state a + b = 1/sqrt(L) at k = 0
+        return EnergyEigenstate(l, "neumann", 0.0, 0.0, amp, amp, cfg, robin)
 
     roots = solve_energy_continuum(cfg, robin)
     if l not in roots.labels:
         raise ValueError(f"label {l} not among the quantized levels found (bound states "
                          "have no closed-form eigenstate here)")
     k = float(roots.real_roots[list(roots.labels).index(l)])
-    if k == 0.0:
-        if robin != RobinParams.neumann():  # a linear zero mode (D = 0)
-            raise ValueError(f"the k = 0 level {l} is linear in x: no two-exponential form")
-        amp = 0.5 / math.sqrt(L)  # constant state a + b = 1/sqrt(L) at k = 0
-        return EnergyEigenstate(l, "neumann", 0.0, 0.0, amp, amp, cfg, robin)
+    if k == 0.0:  # a linear zero mode (D = 0); the free-end one is returned above
+        raise ValueError(f"the k = 0 level {l} is linear in x: no two-exponential form")
 
     gm = robin.gamma_minus  # a hard left wall is the limit gm -> inf of beta / gm
     beta = cmath.exp(1j * k * L / 2) * (1.0 if math.isinf(gm) else gm + 1j * k)

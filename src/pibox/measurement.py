@@ -2,10 +2,11 @@
 
 For equal extension parameters the quantized outcomes are k = pi*n/L.
 Box and momentum eigenstates are both sums of two exponentials, so
-``general_distribution`` gives every outcome probability in closed form
-(two sincs); the hard-wall and Neumann-ground laws have their own
-rational forms.  Truncated sums carry their analytic tails (digamma,
-trigamma or Hurwitz-zeta series remainders) instead of being renormalized, so
+``general_distribution`` gives every outcome probability in one closed
+form, per parity of n a rational function of n times sin^2; the
+hard-wall and free-end ground-state distributions are that law applied
+to their states.  Truncated sums carry their analytic tails (Hurwitz-zeta
+series, or digamma and trigamma) instead of being renormalized, so
 normalization defects stay visible.  ``fourier_density`` gives the
 contrasting unquantized (whole-line Fourier) momentum density.
 """
@@ -18,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .continuum import EnergyEigenstate, _cospi, _sinpi, sample_scalar_on_grid
+from .continuum import EnergyEigenstate, _sinpi, energy_eigenstate, sample_scalar_on_grid
 from .continuum import momentum_eigenstate  # noqa: F401  (unused; perfbench/spans.py wraps it here)
 from .lattice import (
     LatticeGrid,
@@ -85,23 +86,6 @@ class MomentumDistribution:
         return math.sqrt(max(self.second_moment() - self.first_moment() ** 2, 0.0))
 
 
-def _odd_series_tails(j_min: float, l: float):
-    """Remainders of the step-2 lattice sums over j = j_min, j_min + 2, ...
-    (j_min > 0 and the shift l real), via trigamma and digamma:
-
-        S2a = sum_j 1/j^2               = psi'(j_min/2)/4
-        S2b = sum_j 1/(j+2l)^2          = psi'(j_min/2 + l)/4
-        S1  = sum_j [1/j - 1/(j+2l)]    = [psi(j_min/2+l) - psi(j_min/2)]/2
-    """
-    from scipy.special import polygamma, psi  # deferred: it would be most of `import pibox`
-
-    half = 0.5 * j_min
-    s2a = 0.25 * float(polygamma(1, half))
-    s2b = 0.25 * float(polygamma(1, half + l))
-    s1 = 0.5 * float(psi(half + l) - psi(half))
-    return s2a, s2b, s1
-
-
 def dirichlet_distribution(cfg: PhysicalConfig, l: int, cutoff_n: int = 10_000) -> MomentumDistribution:
     """Closed-form outcome distribution for the hard-wall eigenstate l:
     probability 1/4 at n = +-l, (4/pi^2) l^2/(l^2 - n^2)^2 when n and l
@@ -111,74 +95,38 @@ def dirichlet_distribution(cfg: PhysicalConfig, l: int, cutoff_n: int = 10_000) 
         raise ValueError("hard-wall labels start at 1")
     if cutoff_n < l + 1:
         raise ValueError("cutoff_n must exceed the level l")
-    L = cfg.box_length
-    n = np.arange(-cutoff_n, cutoff_n + 1)
-    k = math.pi * n / L
-    p = np.zeros_like(k)
-    opposite = (n % 2) != (l % 2)
-    with np.errstate(divide="ignore"):
-        formula = (4.0 / math.pi**2) * l**2 / (l**2 - n.astype(float) ** 2) ** 2
-    p[opposite] = formula[opposite]
-    p[np.abs(n) == l] = 0.25
-
-    # analytic remainders over n > cutoff with n - l odd (doubled for -n)
-    j_min = cutoff_n - l + 1
-    if j_min % 2 == 0:
-        j_min += 1
-    s2a, s2b, s1 = _odd_series_tails(j_min, l)
-    n0 = j_min + l  # first tail outcome
-    if l <= n0 / 4:  # 1/(n^2-l^2)^2 as a power series in l^2/n^2: s2a + s2b and s1 cancel
-        from scipy.special import zeta
-
-        m = np.arange(16)
-        tail = (0.5 / math.pi**2) * l**2 * float(
-            zeta(2.0 * m + 4.0, 0.5 * n0) @ ((m + 1) * (0.5 * l) ** (2 * m)))
-    else:
-        tail = 2.0 * (4.0 / math.pi**2) * (0.25 * (s2a + s2b) - s1 / (4.0 * l))
-    k2_tail = 2.0 * (4.0 * l**2 / L**2) * (0.25 * (s2a + s2b) + s1 / (4.0 * l))
-
-    return MomentumDistribution(
-        n=n,
-        k=k,
-        probability=p,
-        cutoff_n=cutoff_n,
-        tail_mass=tail,
-        delta_k=math.pi * l / L,
-        second_moment_tail=k2_tail,
-        meta={"kind": "dirichlet", "l": l},
-    )
+    robin = RobinParams.dirichlet()
+    return general_distribution(cfg, robin, MomentumExtension(), energy_eigenstate(cfg, robin, l), cutoff_n)
 
 
 def neumann_ground_distribution(cfg: PhysicalConfig, cutoff_n: int = 10_000) -> MomentumDistribution:
     """Distribution in the free-end ground state: probability 1/2 at
     k = 0 and 2/(pi^2 n^2) for odd n.  The second moment diverges, so
     delta_k is flagged infinite."""
-    from scipy.special import polygamma
-
     if cutoff_n < 1:
         raise ValueError("cutoff_n must be at least 1")
-    L = cfg.box_length
-    n = np.arange(-cutoff_n, cutoff_n + 1)
-    k = math.pi * n / L
-    p = np.zeros_like(k)
-    odd = n % 2 != 0
-    with np.errstate(divide="ignore"):
-        p[odd] = 2.0 / (math.pi**2 * n[odd].astype(float) ** 2)
-    p[n == 0] = 0.5
+    robin = RobinParams.neumann()
+    return general_distribution(cfg, robin, MomentumExtension(), energy_eigenstate(cfg, robin, 0), cutoff_n)
 
-    j_min = cutoff_n + 1 if cutoff_n % 2 == 0 else cutoff_n + 2
-    tail = 2.0 * (2.0 / math.pi**2) * 0.25 * float(polygamma(1, 0.5 * j_min))
 
-    return MomentumDistribution(
-        n=n,
-        k=k,
-        probability=p,
-        cutoff_n=cutoff_n,
-        tail_mass=tail,
-        delta_k=math.inf,
-        second_moment_tail=None,  # divergent
-        meta={"kind": "neumann_ground"},
-    )
+def _abs2(z):
+    return z.real * z.real + z.imag * z.imag  # abs(z)**2 rounds through a square root
+
+
+def _parity_sums(t: float, n0: int) -> tuple[float, float]:
+    """S1 = sum 1/(n^2 - t^2) and S2 = sum 1/(n^2 - t^2)^2 over n = n0, n0 + 2, ...
+    (0 <= t < n0).  For t <= n0/4 both are power series in t^2 over Hurwitz
+    zeta values (16 terms reach the last bit), where psi and psi' would cancel."""
+    from scipy.special import polygamma, psi, zeta  # deferred: it would be most of `import pibox`
+
+    if t <= n0 / 4:
+        m = np.arange(16)
+        x = (0.5 * t) ** (2 * m)
+        return (0.25 * float(zeta(2.0 * m + 2.0, 0.5 * n0) @ x),
+                0.0625 * float(zeta(2.0 * m + 4.0, 0.5 * n0) @ ((m + 1) * x)))
+    lo, hi = 0.5 * (n0 - t), 0.5 * (n0 + t)
+    s1 = float(psi(hi) - psi(lo)) / (4.0 * t)
+    return s1, (0.25 * float(polygamma(1, lo) + polygamma(1, hi)) - 2.0 * s1) / (4.0 * t * t)
 
 
 def general_distribution(
@@ -188,12 +136,20 @@ def general_distribution(
     state: EnergyEigenstate,
     cutoff_n: int = 64,
 ) -> MomentumDistribution:
-    """Outcome probabilities of psi = A e^{iqx} + B e^{-iqx} in closed form,
-    P(k_n) = (L/2) |A sinc((q-k_n)L/2) + B sinc((q+k_n)L/2)|^2 at k_n = pi*n/L
-    (equal extension parameters; P does not depend on their value).  Per
-    parity of n the tail is a pair of 1/(n -+ t)^2 series, t = qL/pi, and
-    their cross term.  Unless psi vanishes at both walls P ~ 1/n^2, so
-    delta_k is infinite."""
+    """Outcome probabilities of psi = a e^{iqx} + b e^{-iqx} at k_n = pi*n/L
+    (equal extension parameters; P does not depend on their value).  With
+    t = qL/pi (exactly l for hard walls), s = (-1)^n and N^2 the norm of psi
+    from its coefficients,
+
+        P(n) = (4/pi^2) sin^2(pi(t-n)/2) (A_s t^2 + B_s n^2 + C_s t n) / (t^2-n^2)^2,
+        (A_s, B_s, C_s) = ((L/2)|a+sb|^2, (L/2)|a-sb|^2, L Re((a+sb)(a-sb)*)) / N^2,
+
+    and at n = +-t the two-sinc form (L/2)|a sinc((q-k)L/2) + b sinc((q+k)L/2)|^2 / N^2.
+    Hard-wall weights come out exactly 1 or 0, so the peaks are exactly 1/4
+    and forbidden outcomes exactly 0.  Per parity the tail is
+    2 (4/pi^2) sin^2 [(A+B) t^2 S2 + B S1]; the t n term cancels over +-n.
+    Unless psi vanishes at both walls P ~ 1/n^2 and delta_k is infinite;
+    hard walls also carry the k^2 tail."""
     if ext.ell_plus != ext.ell_minus:
         raise ValueError("general distribution needs equal extension parameters")
     nrm = state.two_component().norm()
@@ -201,32 +157,36 @@ def general_distribution(
         raise ValueError(f"state is not normalized (norm = {nrm})")
     L = cfg.box_length
     a, b = state.coefficient_a, state.coefficient_b
-    t = state.k * L / math.pi
+    t = float(state.l) if robin.is_dirichlet else state.k * L / math.pi
     if t >= cutoff_n + 1:
         raise ValueError(f"cutoff_n must exceed qL/pi - 1 = {t - 1} (the state's peak)")
     n = np.arange(-cutoff_n, cutoff_n + 1)
+    x = n.astype(float)
 
-    u = np.stack([t - n, t + n])  # sinc((q -+ k_n)L/2) = sin(pi u/2)/(pi u/2), exact at integer u
-    safe = np.where(u == 0.0, 1.0, u)
-    sinc = np.where(u == 0.0, 1.0, _sinpi(0.5 * safe) / (0.5 * math.pi * safe))
-    p = 0.5 * L * np.abs(a * sinc[0] + b * sinc[1]) ** 2
+    sinc_t = 1.0 if t == 0.0 else float(_sinpi(t)) / (math.pi * t)
+    norm2 = L * (_abs2(a) + _abs2(b)) + 2.0 * (a * np.conj(b)).real * L * sinc_t
+    # rows: the parity of n, with sin^2(pi(t-n)/2) taken at n = 0 and 1 (t - 1 is exact near odd t)
+    weights = np.array([[0.5 * L * _abs2(a + s * b), 0.5 * L * _abs2(a - s * b),
+                         L * ((a + s * b) * np.conj(a - s * b)).real] for s in (1.0, -1.0)])
+    weights *= _sinpi(0.5 * (t - np.array([[0.0], [1.0]]))) ** 2 / norm2
+    p = np.empty(n.size)
+    for i in (0, 1):  # n alternates in parity
+        A, B, C = weights[n[i] % 2]
+        y = x[i::2]
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at n = +-t, set below
+            p[i::2] = (4.0 / math.pi**2) * (A * (t * t) + B * (y * y) + C * (t * y)) / ((t - y) * (t + y)) ** 2
+    p[x == t] = 0.5 * L * _abs2(a + b * sinc_t) / norm2  # sinc(0) = 1 beside sinc(pi t)
+    p[x == -t] = 0.5 * L * _abs2(a * sinc_t + b) / norm2
 
-    tail = 0.0
+    tail = k2_tail = 0.0
     for n0 in (cutoff_n + 1, cutoff_n + 2):  # first tail outcome of each parity
-        trig, alpha = (_sinpi(0.5 * t), a) if n0 % 2 == 0 else (_cospi(0.5 * t), -a)
-        s2a, s2b, s1 = _odd_series_tails(n0 - t, t)
-        if t > n0 / 4:  # cross = sum 1/(n^2 - t^2)
-            cross = s1 / (2.0 * t)
-        else:  # as a power series in t, without the cancellation in s1
-            from scipy.special import zeta
-
-            m = np.arange(16)
-            cross = 0.25 * float(zeta(2.0 * m + 2.0, 0.5 * n0) @ (0.5 * t) ** (2 * m))
-        tail += (2.0 * L / math.pi**2) * float(trig) ** 2 * (
-            (abs(a) ** 2 + abs(b) ** 2) * (s2a + s2b) - 4.0 * (alpha * np.conj(b)).real * cross)
-
-    delta_k = abs(state.k) if robin.is_dirichlet else math.inf
-    return MomentumDistribution(n, math.pi * n / L, p, cutoff_n, tail, delta_k, meta={
+        A, B, _ = weights[n0 % 2]
+        s1, s2 = _parity_sums(t, n0)
+        tail += 2.0 * (4.0 / math.pi**2) * ((A + B) * t * t * s2 + B * s1)
+        k2_tail += 2.0 * (4.0 / L**2) * A * t * t * (s1 + t * t * s2)
+    hard = robin.is_dirichlet
+    return MomentumDistribution(n, math.pi * n / L, p, cutoff_n, tail, abs(state.k) if hard else math.inf,
+                                k2_tail if hard else None, meta={
         "kind": "general", "state_kind": state.kind, "l": state.l, "ell": ext.ell_plus})
 
 
@@ -329,8 +289,12 @@ def fourier_density(
             raw = np.where(near, 0.25 * L * L, np.sin(0.5 * kk * L) ** 2 / kk**2)
             return (2.0 / (math.pi * L)) * raw
 
+        from scipy.special import sici  # deferred: it would be most of `import pibox`
+
+        # 2 int_K^inf of the density, by parts: sin^2(KL/2)/K + (L/2) int_K^inf sin(kL)/k dk
+        tail_mass = (4.0 / (math.pi * L)) * (
+            math.sin(0.5 * cutoff_K * L) ** 2 / cutoff_K + 0.5 * L * (0.5 * math.pi - float(sici(cutoff_K * L)[0])))
         ks = np.linspace(-cutoff_K, cutoff_K, num_samples)
-        tail_mass = 2.0 / (math.pi * L * cutoff_K)  # mean sin^2 = 1/2, both sides
         return FourierDensity(ks, density(ks), cutoff_K, math.inf, tail_mass, None, density,
                               meta={"kind": "neumann", "box_length": L})
 

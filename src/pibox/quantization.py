@@ -174,7 +174,17 @@ def _degeneracy(robin: RobinParams, length: float) -> float:
     else:
         terms = (finite[0] * length, 1.0) if finite else (length,)
     d = sum(terms)
-    return 0.0 if abs(d) <= 1e-14 * max(1.0, *map(abs, terms)) else d
+    return 0.0 if abs(d) <= 1e-14 * max(map(abs, terms)) else d
+
+
+def _split_zero_level(roots: np.ndarray, robin: RobinParams, length: float, L: float):
+    """The roots above 1e-9*pi/L, deduplicated, and [0.0] for a k = 0 level:
+    a zero mode (D = 0 for walls ``length`` apart), or a root below that floor,
+    the near-constant ground level of a D > 0 too small to tell apart from
+    k = 0 (couplings of one sign of about 1e-17 or less)."""
+    tiny = roots <= 1e-9 * math.pi / L
+    roots, _ = _dedupe(roots[~tiny], np.arange(roots.size - np.count_nonzero(tiny)), _DEDUP_TOL)
+    return roots, [0.0] if tiny.any() or _degeneracy(robin, length) == 0.0 else []
 
 
 def _phase_slope0(robin: RobinParams, length: float) -> float:
@@ -203,21 +213,18 @@ def solve_energy_continuum(cfg: PhysicalConfig, robin: RobinParams, k_max: float
     resolution = math.pi / (20.0 * L)
     n_scan = int(math.ceil(k_max / resolution)) + 1
     k_grid = np.linspace(0.0, k_max, n_scan)
-    roots, _ = _phase_roots(phase, k_grid, _phase_slope0(robin, L))
-    roots = [k for k in roots if k > 1e-9 * math.pi / L]
-    roots, _ = _dedupe(roots, list(range(len(roots))), _DEDUP_TOL)
-    if roots.size == 0 and _degeneracy(robin, L) != 0.0:
+    roots, zero = _split_zero_level(_phase_roots(phase, k_grid, _phase_slope0(robin, L))[0], robin, L, L)
+    if roots.size == 0 and not zero:
         raise RootScanError(
             f"no energy roots in (0, {k_max}] at scan resolution {resolution:.3e}"
         )
 
     bound = _bound_roots(cfg, robin)
 
-    zero = [0.0] if _degeneracy(robin, L) == 0.0 else []
     real_roots = np.concatenate([zero, roots])
     energies = real_roots**2 / (2.0 * cfg.mass)
-    # the zero mode is appended from its own degeneracy condition, so its
-    # residual is zero by construction (the k > 0 form degenerates there)
+    # the k = 0 level is set, not solved, so its residual is zero by
+    # construction (the k > 0 form degenerates there)
     residuals = np.concatenate([np.zeros(len(zero)), energy_continuum_residual(cfg, robin, roots)])
 
     _check_residuals(residuals, "energy_continuum")
@@ -337,12 +344,9 @@ def solve_energy_lattice(grid: LatticeGrid, cfg: PhysicalConfig, robin: RobinPar
     k_hi = zone_edge - 1e-9 * zone_edge
     resolution = math.pi / (20.0 * L)
     k_grid = np.linspace(0.0, k_hi, int(math.ceil(k_hi / resolution)) + 1)
-    roots, _ = _phase_roots(phase, k_grid, _phase_slope0(robin, L - a))
-    roots = [k for k in roots if k > 1e-9 * math.pi / L]
-    roots, _ = _dedupe(roots, list(range(len(roots))), _DEDUP_TOL)
-
     # the lattice zero mode is linear between the corner sites, L - a apart
-    zero = [0.0] if _degeneracy(robin, L - a) == 0.0 else []
+    roots, zero = _split_zero_level(_phase_roots(phase, k_grid, _phase_slope0(robin, L - a))[0],
+                                    robin, L - a, L)
     real_roots = np.concatenate([zero, roots])
     energies = lattice_dispersion_energy(grid, cfg, real_roots)
     residuals = np.concatenate([np.zeros(len(zero)), energy_lattice_residual(grid, cfg, robin, roots)])
@@ -360,7 +364,8 @@ def solve_energy_lattice(grid: LatticeGrid, cfg: PhysicalConfig, robin: RobinPar
             f"found {real_roots.size} lattice energy roots where H has {most} levels in "
             f"[0, {top}]; a level on the zone edge k = pi/a is outside the open scan window"
         )
-    labels = np.arange(real_roots.size)
+    # labels count the levels of H below the roots (bound, or within d of E = 0)
+    labels = np.arange(below_top - real_roots.size, below_top)
     return RootSet(
         kind="energy_lattice",
         real_roots=real_roots,

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,26 @@ def test_spectrum_compare_pairs_rows_by_level(gammas, bound):
     assert [r[header.index("E_other")] for r in rows[:bound]] == [""] * bound
     assert all(e < 0 for e in energies[:bound]) and len(paired) == len(rows) - bound
     assert max(float(r[header.index("agreement")]) for r in paired) <= 1e-9
+
+
+@pytest.mark.parametrize("gammas", [("1e-20", "1e-20"), ("1e-20", "0"), ("0.0000001", "-0.0000001"),
+                                    ("0.0001", "-0.0001")])
+def test_spectrum_keeps_the_level_of_tiny_couplings(gammas):
+    # one sign: a ground level at E ~ 0; opposite signs: a level bound at kappa = |g|
+    bound = 1 if gammas[1].startswith("-") else 0
+    code, out = run_cli(["spectrum", "--gamma", *gammas, "--bound-states", "--levels", "3"])
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    assert [r[0] for r in rows] == ["0", "1", "2"]
+    ground = -0.5 * float(gammas[0]) ** 2 if bound else 0.0
+    assert float(rows[0][2]) == pytest.approx(ground, rel=1e-9, abs=1e-14)
+    assert float(rows[1][2]) == pytest.approx(math.pi**2 / 2, rel=1e-6)
+    # the lattice binds the opposite pair's level too, and the comparison leaves it unpaired
+    code, out = run_cli(["spectrum", "--N", "99", "--compare", "--gamma", *gammas])
+    _, header, rows = parse_csv(out)
+    agreement = [r[header.index("agreement")] for r in rows]
+    assert code == 0 and agreement[:bound] == [""] * bound
+    assert max(float(x) for x in agreement[bound:]) <= 1e-9
 
 
 def test_spectrum_rejects_bad_config():
@@ -216,6 +237,47 @@ def test_selfcheck_passes():
     assert code == 0
     assert "FAIL" not in out
     assert out.strip().endswith("checks passed")
+
+
+def test_selfcheck_passes_at_a_length_with_inexact_amplitudes():
+    code, out = run_cli(["selfcheck", "--length", "0.7"])
+    assert code == 0 and "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--bc", "dirichlet", "--level", "5", "-L", "0.7", "--cutoff", "8"],
+    ["--bc", "dirichlet", "--level", "20", "-L", "2.2611424348480433", "--cutoff", "300"],
+    ["--bc", "neumann", "--level", "0", "-L", "0.7", "--cutoff", "8"],
+])
+def test_closed_and_quadrature_print_the_same_outcomes(argv):
+    # one outcome law: every parity-forbidden outcome is exactly 0 on both routes
+    out = {}
+    for method in ("closed", "quadrature"):
+        code, text = run_cli(["measure", *argv, "--method", method])
+        assert code == 0
+        out[method] = [line for line in text.splitlines() if line != f"# method = {method}"]
+    assert out["closed"] == out["quadrature"]
+    _, _, rows = parse_csv("\n".join(out["closed"]))
+    if "dirichlet" in argv:
+        level = int(argv[argv.index("--level") + 1])
+        assert all(float(r[2]) == 0.0 for r in rows if (int(r[0]) - level) % 2 == 0 and abs(int(r[0])) != level)
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--bc", "dirichlet", "--cutoff", "100001"],
+    ["fourier", "--samples", "100002"],
+])
+def test_sizes_above_their_caps_are_configuration_errors(argv, capsys):
+    tracemalloc.start()
+    try:
+        code, out = run_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and out == ""
+    assert len(err) == 1 and err[0].startswith("pibox: configuration error: ") and "cap" in err[0]
+    assert peak < 500_000
 
 
 def test_output_file_and_determinism(tmp_path):

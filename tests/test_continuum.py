@@ -7,6 +7,7 @@ from pibox import (
     GeneralBCParams,
     LatticeGrid,
     MomentumExtension,
+    PhysicalConfig,
     RobinParams,
     TwoComponentWavefunction,
     apply_p_r,
@@ -240,6 +241,21 @@ def test_linear_zero_modes_have_no_two_exponential_state(cfg, couplings, level):
 def test_neumann_zero_mode_is_the_constant(cfg):
     state = energy_eigenstate(cfg, RobinParams.neumann(), 0)
     assert state.kind == "neumann" and state.bc_residual() == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("length", [1.0, 0.7, 2.2611424348480433])
+def test_neumann_zero_mode_needs_no_root_scan(monkeypatch, length):
+    import pibox.continuum
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the free-end ground state ran the root scan")
+
+    monkeypatch.setattr(pibox.continuum, "solve_energy_continuum", no_scan)
+    state = energy_eigenstate(PhysicalConfig(1.0, length), RobinParams.neumann(), 0)
+    assert (state.l, state.kind, state.E, state.k) == (0, "neumann", 0.0, 0.0)
+    assert state.coefficient_a == state.coefficient_b == 0.5 / math.sqrt(length)
+    with pytest.raises(AssertionError, match="root scan"):  # every other level still scans
+        energy_eigenstate(PhysicalConfig(1.0, length), RobinParams.neumann(), 1)
 
 
 @pytest.mark.parametrize("couplings", [(3.0, math.inf), (math.inf, 3.0), (1e-12, math.inf)])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pibox import (
@@ -123,6 +123,110 @@ def test_neumann_second_moment_diverges(cfg):
     assert large > 10.0 * small
     # each odd outcome contributes 2/L^2: the partial sum is linear in the window
     assert large == pytest.approx(2.0 * 10_000, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the one outcome law against the rational laws and an mpmath oracle
+# ---------------------------------------------------------------------------
+
+def rational_dirichlet(l, cutoff_n):
+    """The hard-wall rational law, in the operation order that the general
+    law has to reproduce bit for bit."""
+    n = np.arange(-cutoff_n, cutoff_n + 1)
+    p = np.zeros(n.size)
+    opposite = (n % 2) != (l % 2)
+    with np.errstate(divide="ignore"):
+        formula = (4.0 / math.pi**2) * l**2 / (l**2 - n.astype(float) ** 2) ** 2
+    p[opposite] = formula[opposite]
+    p[np.abs(n) == l] = 0.25
+    return p
+
+
+def rational_neumann(cutoff_n):
+    n = np.arange(-cutoff_n, cutoff_n + 1)
+    p = np.zeros(n.size)
+    odd = n % 2 != 0
+    p[odd] = 2.0 / (math.pi**2 * n[odd].astype(float) ** 2)
+    p[n == 0] = 0.5
+    return p
+
+
+def rational_neumann_tail(cutoff_n):
+    """The free-end tail 2 sum 2/(pi^2 n^2) over odd n > cutoff_n, as trigamma."""
+    from scipy.special import polygamma
+
+    j_min = cutoff_n + 1 if cutoff_n % 2 == 0 else cutoff_n + 2
+    return float(polygamma(1, 0.5 * j_min)) / math.pi**2
+
+
+LENGTHS = [0.3, 0.7, 1.0, 2.2611424348480433, 3.7]
+
+
+@pytest.mark.parametrize("length", LENGTHS)
+def test_hard_wall_cells_are_the_rational_law_bit_for_bit(length, ext_i):
+    cfg = PhysicalConfig(1.0, length)
+    for l in range(1, 21):
+        state = energy_eigenstate(cfg, RobinParams.dirichlet(), l)
+        for cutoff in sorted({l + 1, 300, 10_000}):
+            p = dirichlet_distribution(cfg, l, cutoff).probability
+            # peaks exactly 1/4, parity-forbidden outcomes exactly +0
+            assert np.array_equal(p, rational_dirichlet(l, cutoff)) and not np.signbit(p).any()
+            quad = general_distribution(cfg, RobinParams.dirichlet(), ext_i, state, cutoff)
+            assert np.array_equal(quad.probability, p)
+
+
+@pytest.mark.parametrize("length", LENGTHS)
+def test_free_end_cells_are_the_rational_law_within_4_ulp(length):
+    for cutoff in (1, 2, 7, 300, 10_000):
+        p = neumann_ground_distribution(PhysicalConfig(1.0, length), cutoff).probability
+        ref = rational_neumann(cutoff)
+        assert p[cutoff] == 0.5 and np.array_equal(p == 0.0, ref == 0.0)
+        assert np.all(np.abs(p - ref) <= 4 * np.spacing(ref))
+
+
+@pytest.mark.parametrize("length", [0.7, 1.0, 2.2611424348480433])
+@pytest.mark.parametrize("cutoff", [1, 2, 7, 40, 301, 10_000])
+def test_free_end_tail_is_the_trigamma_tail(length, cutoff):
+    dist = neumann_ground_distribution(PhysicalConfig(1.0, length), cutoff)
+    assert dist.tail_mass == pytest.approx(rational_neumann_tail(cutoff), rel=1e-13, abs=0)
+
+
+def two_sinc_oracle(state, t, L, labels):
+    """(L/2)|a sinc(pi(t-n)/2) + b sinc(pi(t+n)/2)|^2 / N^2 in 40-digit mpmath,
+    at the float t the code uses (q = pi t / L); sinc(pi u) = sinpi(u)/(pi u)."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        a, b, t, L = mp.mpc(state.coefficient_a), mp.mpc(state.coefficient_b), mp.mpf(t), mp.mpf(L)
+        sinc = lambda u: mp.mpf(1) if u == 0 else mp.sinpi(u) / (mp.pi * u)  # noqa: E731
+        norm2 = L * (abs(a) ** 2 + abs(b) ** 2) + 2 * mp.re(a * mp.conj(b)) * L * sinc(t)
+        return [float(L / 2 * abs(a * sinc((t - int(n)) / 2) + b * sinc((t + int(n)) / 2)) ** 2 / norm2)
+                for n in labels]
+
+
+signed_couplings = st.one_of(st.floats(-6.0, 4.0).map(lambda e: 10.0**e),
+                             st.floats(-6.0, 1.0).map(lambda e: -(10.0**e)), st.just(math.inf))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gp=signed_couplings, gm=signed_couplings, level=st.integers(0, 6),
+       length=st.floats(0.3, 5.0), cutoff=st.integers(8, 400), data=st.data())
+def test_outcomes_agree_with_an_mpmath_oracle_to_1e_13(gp, gm, level, length, cutoff, data):
+    cfg, robin = PhysicalConfig(1.0, length), RobinParams(gp, gm)
+    try:
+        state = energy_eigenstate(cfg, robin, level)
+    except ValueError:  # a bound level or linear zero mode: no two-exponential state
+        assume(False)
+    t = state.l if robin.is_dirichlet else state.k * length / math.pi
+    assume(t < cutoff + 1)
+    dist = general_distribution(cfg, robin, MomentumExtension(), state, cutoff)
+    far = data.draw(st.lists(st.integers(-cutoff, cutoff), max_size=20))
+    labels = np.unique(np.concatenate([np.arange(-12, 13), np.array(far, dtype=int), [-cutoff, cutoff]]))
+    labels = labels[np.abs(labels) <= cutoff]
+    got = dist.probability[labels + cutoff]
+    ref = np.array(two_sinc_oracle(state, t, length, labels))
+    assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+    assert abs(dist.total_mass() - 1.0) <= 4e-15
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +444,13 @@ def test_fourier_neumann_divergence(cfg):
     small = fd.partial_second_moment(7.0)
     large = fd.partial_second_moment(700.0)
     assert large > 10.0 * small
+
+
+@pytest.mark.parametrize("length", [0.5, 1.0, 2.2611424348480433])
+@pytest.mark.parametrize("cutoff_K", [7.0, 60.0, 700.0, 5000.0])
+def test_fourier_neumann_tail_is_exact(length, cutoff_K):
+    fd = fourier_density(PhysicalConfig(1.0, length), 0, cutoff_K, kind="neumann")
+    assert abs(fd.total_mass() - 1.0) <= 1e-13
 
 
 def test_fourier_density_values_at_zero(cfg):

@@ -79,6 +79,49 @@ def test_phase_cancellation_of_opposite_couplings(cfg):
     assert roots.bound_roots[0] == pytest.approx(5.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("gp, gm", [(1e-7, -1e-7), (-1e-7, 1e-7), (1e-9, -1e-9), (-1e-9, 1e-9)])
+def test_tiny_opposite_couplings_bind_one_level(cfg, gp, gm):
+    # D = -g^2 L is tiny but not a zero mode: exp(g- x) binds at kappa = |g|
+    roots = solve_energy_continuum(cfg, RobinParams(gp, gm), k_max=4 * math.pi)
+    assert roots.bound_roots.size == 1
+    assert roots.bound_roots[0] == pytest.approx(abs(gp), rel=1e-12, abs=0)
+    assert roots.real_roots[0] > 0.0  # no zero mode
+
+
+@pytest.mark.parametrize("gp, gm", [(1e-20, 1e-20), (1e-20, 0.0), (0.0, 1e-20), (1e-15, 1e-15)])
+def test_tiny_same_sign_couplings_keep_the_ground_level(cfg, gp, gm):
+    # D = g+ g- L + g+ + g- > 0 puts the ground level at k ~ sqrt(D/L); where that is
+    # below the scan floor 1e-9 pi/L it is the k = 0 level, and above it a root, never both
+    free = solve_energy_continuum(cfg, RobinParams.neumann(), k_max=4 * math.pi)
+    roots = solve_energy_continuum(cfg, RobinParams(gp, gm), k_max=4 * math.pi)
+    assert roots.bound_roots.size == 0 and list(roots.labels) == list(free.labels)
+    assert roots.real_roots[0] == pytest.approx(math.sqrt(gp + gm), rel=1e-6, abs=1e-9)
+    assert roots.energies[0] == pytest.approx(0.0, abs=1e-15)
+    np.testing.assert_allclose(roots.real_roots[1:], free.real_roots[1:], rtol=1e-12)
+
+
+@pytest.mark.parametrize("gp, gm, ground", [(1e-20, 1e-20, True), (1e-15, 1e-15, True),
+                                            (1e-7, -1e-7, False), (-1e-9, 1e-9, False)])
+def test_lattice_ground_level_of_tiny_couplings(cfg, gp, gm, ground):
+    # couplings of one sign keep a ground level near E = 0, reported once; couplings
+    # of opposite sign bind it, and a bound level is not a real root
+    grid = LatticeGrid(99, 1.0)
+    roots = solve_energy_lattice(grid, cfg, RobinParams(gp, gm))
+    free = solve_energy_lattice(grid, cfg, RobinParams.neumann())
+    assert roots.real_roots.size == free.real_roots.size - (not ground)
+    assert not ground or roots.energies[0] <= 1e-14
+    np.testing.assert_allclose(roots.energies[ground:], free.energies[1:], rtol=1e-6)
+
+
+@pytest.mark.parametrize("gp, gm", [(-5.0, -5.0), (3.0, -7.0), (1e-7, -1e-7), (0.3, 50.0), (0.0, 0.0)])
+def test_lattice_labels_count_the_bound_levels_like_the_continuum(cfg, gp, gm):
+    robin = RobinParams(gp, gm)
+    latt = solve_energy_lattice(LatticeGrid(99, 1.0), cfg, robin)
+    cont = solve_energy_continuum(cfg, robin, k_max=4 * math.pi)
+    assert latt.labels[0] == cont.labels[0]
+    assert np.array_equal(latt.labels, np.arange(latt.labels[0], latt.labels[0] + latt.labels.size))
+
+
 def test_bound_states_for_attractive_walls(cfg):
     roots = solve_energy_continuum(cfg, RobinParams(-5.0, -5.0), k_max=4 * math.pi)
     assert roots.bound_roots.size == 2
